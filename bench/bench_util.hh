@@ -16,8 +16,7 @@
  *                     hardware threads; 1 = the sequential path; 0 is
  *                     the same as the default)
  *   --kernel <k>      sweep evaluation kernel: "batched" (the
- *                     event-major default), "simd" (the SoA
- *                     bit-parallel lanes, docs/KERNELS.md), or
+ *                     event-major default, docs/KERNELS.md) or
  *                     "reference" (the per-scheme oracle); output is
  *                     byte-identical either way
  *
@@ -467,7 +466,7 @@ class BenchContext
                                   value)) {
                 if (!sweep::parseSweepKernel(value, kernel_))
                     ccp_fatal("bad --kernel value '", value,
-                              "' (want batched|simd|reference)");
+                              "' (want batched|reference)");
             } else if (takesValue(arg, "--checkpoint", i, argc, argv,
                                   value)) {
                 if (value.empty())
@@ -543,7 +542,7 @@ class BenchContext
                 std::printf(
                     "usage: %s [--report <out.json>] "
                     "[--log quiet|warn|info|debug] [--threads <n>] "
-                    "[--kernel batched|simd|reference] "
+                    "[--kernel batched|reference] "
                     "[--checkpoint <base>] [--resume] "
                     "[--checkpoint-interval <sec>] "
                     "[--mem-budget <bytes>] "

@@ -6,14 +6,12 @@
  * that bound how large a design-space sweep is practical.
  *
  * After the registered benchmarks, main() runs the sweep-kernel perf
- * gate: the event-major batched kernel, the SIMD/SoA lane kernel, and
- * the reference per-scheme evaluator over the standard 16-node sweep
- * fixture (48 window schemes x the 200k-event synthetic trace),
- * writing the measured rates to BENCH_sweep.json (override with
- * CCP_BENCH_JSON) and exiting non-zero if the batched kernel is
- * slower than the reference — or, on an AVX2 host, if the SIMD
- * kernel is slower than batched.  Pass --benchmark_filter='^$' to
- * run only the gate.
+ * gate: the event-major batched kernel and the reference per-scheme
+ * evaluator over the standard 16-node sweep fixture (48 window
+ * schemes x the 200k-event synthetic trace), writing the measured
+ * rates to BENCH_sweep.json (override with CCP_BENCH_JSON) and
+ * exiting non-zero if the batched kernel is slower than the
+ * reference.  Pass --benchmark_filter='^$' to run only the gate.
  */
 
 #include <benchmark/benchmark.h>
@@ -420,8 +418,7 @@ runSweepGate()
                  "%u nodes, direct update\n",
                  schemes.size(), tr.events().size(), tr.nNodes());
 
-    std::vector<predict::SuiteResult> ref_results, batched_results,
-        simd_results;
+    std::vector<predict::SuiteResult> ref_results, batched_results;
     double ref_sec = bestOf(reps, [&] {
         ref_results =
             sweep::ParallelSweep(1, sweep::SweepKernel::Reference)
@@ -430,11 +427,6 @@ runSweepGate()
     double batched_sec = bestOf(reps, [&] {
         batched_results =
             sweep::ParallelSweep(1, sweep::SweepKernel::Batched)
-                .evaluate(suite, schemes, mode);
-    });
-    double simd_sec = bestOf(reps, [&] {
-        simd_results =
-            sweep::ParallelSweep(1, sweep::SweepKernel::Simd)
                 .evaluate(suite, schemes, mode);
     });
     double mt_sec = bestOf(reps, [&] {
@@ -467,8 +459,7 @@ runSweepGate()
     // The gate also cross-checks the kernels on the fixture: a fast
     // wrong kernel must not pass.
     for (std::size_t i = 0; i < schemes.size(); ++i) {
-        if (!(ref_results[i].pooled == batched_results[i].pooled) ||
-            !(ref_results[i].pooled == simd_results[i].pooled)) {
+        if (!(ref_results[i].pooled == batched_results[i].pooled)) {
             std::fprintf(stderr,
                          "[gate] FAIL: kernels disagree on %s\n",
                          sweep::formatScheme(schemes[i]).c_str());
@@ -477,13 +468,6 @@ runSweepGate()
     }
 
     const double speedup = ref_sec / batched_sec;
-    const double simd_speedup = batched_sec / simd_sec;
-    const std::string simd_backend = sweep::simdBackendName();
-    // The SIMD kernel is only held to "at least as fast as batched"
-    // when the vector backend is actually live: on a non-AVX2 host
-    // (or under CCP_SIMD_DISABLE) the lane kernel degrades to the
-    // scalar fallback and the speedup is recorded but not gated.
-    const bool gate_simd = simd_backend == "avx2";
     obs::Json doc = obs::Json::object();
     // Provenance stamp: which commit, when, and on what hardware —
     // so archived records and regression diffs are comparable.
@@ -513,7 +497,6 @@ runSweepGate()
     record("reference", 1, ref_sec);
     record("batched", 1, batched_sec);
     record("batched_parallel", mt_threads, mt_sec);
-    record("simd", 1, simd_sec);
 
     // Perceptron sweep throughput: the learned family through the
     // batched kernel, cross-checked against the reference and
@@ -560,11 +543,7 @@ runSweepGate()
                      perc_schemes.size(), perc_sec,
                      perc_events / perc_sec / 1e6);
     }
-    // Which lane backend produced the simd numbers — bench_compare
-    // only gates simd_speedup when this says "avx2".
-    doc["simd"]["backend"] = obs::Json(simd_backend);
     doc["speedup"] = obs::Json(speedup);
-    doc["simd_speedup"] = obs::Json(simd_speedup);
     obs::Json tracing = obs::Json::object();
     tracing["disabled_seconds"] = obs::Json(batched_sec);
     tracing["enabled_seconds"] = obs::Json(traced_sec);
@@ -590,21 +569,11 @@ runSweepGate()
                  scheme_events / mt_sec / 1e6, speedup,
                  speedup >= 1.0 ? "ok" : "FAIL (batched slower than "
                                          "reference)");
-    const bool simd_ok = !gate_simd || simd_speedup >= 1.0;
-    std::fprintf(stderr,
-                 "[gate] simd (%s) %.3fs (%.1fM): %.2fx over batched "
-                 "-> %s\n",
-                 simd_backend.c_str(), simd_sec,
-                 scheme_events / simd_sec / 1e6, simd_speedup,
-                 simd_ok ? (gate_simd ? "ok" : "recorded, not gated "
-                                               "(scalar backend)")
-                         : "FAIL (simd slower than batched on an "
-                           "AVX2 host)");
     std::fprintf(stderr,
                  "[gate] tracing enabled %.3fs vs disabled %.3fs "
                  "(%+.2f%% overhead)\n",
                  traced_sec, batched_sec, trace_overhead_pct);
-    return speedup >= 1.0 && simd_ok ? 0 : 1;
+    return speedup >= 1.0 ? 0 : 1;
 }
 
 } // namespace

@@ -103,10 +103,8 @@ makeIndexPlan(const IndexSpec &spec, unsigned node_bits)
     }
     ccp_assert(shift == spec.indexBits(node_bits),
                "index plan packing mismatch");
-    // Every field shift must stay < 64: past that, scalar << is UB
-    // while the AVX2 variable shift (_mm256_sllv_epi64) yields zero,
-    // so an over-wide plan would make the simd kernel's two backends
-    // silently diverge instead of failing loudly.  Wider specs are
+    // Every field shift must stay < 64: scalar << by 64 or more is
+    // UB, so an over-wide plan must fail loudly.  Wider specs are
     // unusable configurations anyway (one table entry per 2^64
     // indices); schemeStateWords rejects them far earlier with a
     // structured error, so this guards direct makeIndexPlan callers.

@@ -136,11 +136,8 @@ hashIndexFold(std::uint64_t pid, std::uint64_t pc_word,
  * the same index as IndexSpec::index() for every tuple.
  *
  * Invariant (asserted by makeIndexPlan): the packed index fits 64
- * bits, so every shift is < 64.  The simd sweep kernel transposes
- * four plans into SoA lane vectors (sweep::lanes::LanePlans) and
- * consumes the shifts through AVX2 variable shifts, which zero at
- * shift >= 64 where scalar << is undefined — the invariant is what
- * keeps the two lane backends bit-identical by construction.
+ * bits, so every shift is < 64 — scalar << by 64 or more is
+ * undefined behaviour.
  */
 struct IndexPlan
 {
@@ -154,9 +151,7 @@ struct IndexPlan
     unsigned pidShift = 0;
     /** Hashed fold (IndexSpec::hashed): per-field multipliers (zero
      *  for absent fields) and the fold mask.  hashFoldMask == 0 means
-     *  the concat pipeline above is in effect.  Hashed plans never
-     *  enter simd lane groups (sweep routes them to the scalar path),
-     *  so the lane transpose stays concat-only. */
+     *  the concat pipeline above is in effect. */
     std::uint64_t hashAddrMult = 0;
     std::uint64_t hashDirMult = 0;
     std::uint64_t hashPcMult = 0;

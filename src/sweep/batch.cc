@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <map>
-#include <tuple>
 
 #include "common/logging.hh"
 #include "obs/registry.hh"
@@ -16,7 +13,6 @@ namespace ccp::sweep {
 
 using predict::Confusion;
 using predict::FunctionKind;
-using predict::IndexPlan;
 using predict::PAsFunction;
 using predict::PerceptronFunction;
 using predict::SchemeSpec;
@@ -115,43 +111,17 @@ checkedSchemeStateWords(unsigned bits, std::size_t entry_words)
     return entries * entry_words;
 }
 
-/** CCP_SIMD_DISABLE: set (and not "0") forces the portable lane
- *  kernel.  Read per evaluator construction, not cached, so tests can
- *  flip it with setenv in-process. */
-bool
-simdDisabledByEnv()
-{
-    const char *v = std::getenv("CCP_SIMD_DISABLE");
-    return v != nullptr && v[0] != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-}
-
-const lanes::LaneKernel &
-selectLaneKernel()
-{
-    if (!simdDisabledByEnv())
-        if (const lanes::LaneKernel *k = lanes::avx2LaneKernel())
-            return *k;
-    return lanes::scalarLaneKernel();
-}
-
 } // namespace
 
-const char *
-simdBackendName()
-{
-    return selectLaneKernel().name;
-}
-
 BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
-                               unsigned n_nodes, BatchEngine engine)
+                               unsigned n_nodes)
     : schemes_(std::move(schemes)), nNodes_(n_nodes),
-      nodeBits_(predict::nodeBitsFor(n_nodes)), engine_(engine)
+      nodeBits_(predict::nodeBitsFor(n_nodes))
 {
     ccp_assert(!schemes_.empty(), "empty scheme batch");
     compiled_.reserve(schemes_.size());
 
-    std::vector<unsigned> bits_of(schemes_.size(), 0);
+    std::size_t total_words = 0;
     for (std::size_t i = 0; i < schemes_.size(); ++i) {
         const SchemeSpec &s = schemes_[i];
         Compiled c;
@@ -184,130 +154,14 @@ BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
             c.entryWords = c.perc->entryWords();
             break;
         }
-        bits_of[i] = s.index.indexBits(nodeBits_);
-        compiled_.push_back(std::move(c));
-    }
-
-    if (engine_ == BatchEngine::Simd) {
-        partitionLanes(bits_of);
-    } else {
-        scalarSchemes_.resize(compiled_.size());
-        for (std::size_t i = 0; i < compiled_.size(); ++i)
-            scalarSchemes_[i] = i;
-    }
-
-    // Slice the scalar-path state (everything, under Scalar).
-    std::size_t total_words = 0;
-    for (std::size_t i : scalarSchemes_) {
-        Compiled &c = compiled_[i];
         c.base = total_words;
-        total_words +=
-            checkedSchemeStateWords(bits_of[i], c.entryWords);
+        total_words += checkedSchemeStateWords(
+            s.index.indexBits(nodeBits_), c.entryWords);
+        compiled_.push_back(std::move(c));
     }
     state_.assign(total_words, 0);
     entryScratch_.assign(compiled_.size(), nullptr);
     updScratch_.assign(compiled_.size(), nullptr);
-}
-
-void
-BatchEvaluator::partitionLanes(const std::vector<unsigned> &bits_of)
-{
-    laneKernel_ = &selectLaneKernel();
-
-    // Bucket the window-family schemes by (family, depth); lanes of
-    // one group may differ in index width — the group's entry count
-    // is padded to the widest lane's, bounded by maxLanePadBits so a
-    // narrow scheme can never inflate a group's state by more than
-    // 2^maxLanePadBits.  The map key keeps group formation
-    // deterministic in the scheme list alone.
-    std::map<std::pair<std::uint8_t, unsigned>,
-             std::vector<std::size_t>>
-        classes;
-    for (std::size_t i = 0; i < compiled_.size(); ++i) {
-        const Compiled &c = compiled_[i];
-        if (c.op == Op::PAs || c.op == Op::Perceptron ||
-            c.plan.hashed()) {
-            // Multi-word adaptive/perceptron entries have no u64 lane
-            // to vectorize, and a hashed index plan has no mask/shift
-            // transpose; all three ride the scalar path.
-            scalarSchemes_.push_back(i);
-            continue;
-        }
-        classes[{static_cast<std::uint8_t>(c.op), c.depth}]
-            .push_back(i);
-    }
-
-    std::size_t lane_words = 0;
-    for (auto &[key, members] : classes) {
-        // Widest schemes first, original position as tie-break: a
-        // greedy pass then packs each group from schemes of similar
-        // width, so the padding cap prunes as few groups as possible.
-        std::stable_sort(members.begin(), members.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return bits_of[a] > bits_of[b];
-                         });
-        std::size_t g0 = 0;
-        while (g0 + lanes::laneWidth <= members.size()) {
-            const unsigned bits_max = bits_of[members[g0]];
-            const unsigned bits_min =
-                bits_of[members[g0 + lanes::laneWidth - 1]];
-            if (bits_max - bits_min > maxLanePadBits) {
-                // The widest remaining scheme cannot form a group
-                // within the padding cap; it rides the scalar path
-                // and the window slides on.
-                scalarSchemes_.push_back(members[g0]);
-                ++g0;
-                continue;
-            }
-            const Compiled &c0 = compiled_[members[g0]];
-            lanes::LaneGroup g;
-            switch (c0.op) {
-              case Op::Last:
-                g.family = lanes::LaneFamily::Last;
-                break;
-              case Op::Union:
-                g.family = lanes::LaneFamily::Union;
-                break;
-              case Op::Inter:
-                g.family = lanes::LaneFamily::Inter;
-                break;
-              case Op::OverlapLast:
-                g.family = lanes::LaneFamily::OverlapLast;
-                break;
-              case Op::PAs:
-              case Op::Perceptron:
-                ccp_panic("scalar-only scheme in a lane class");
-            }
-            g.depth = c0.depth;
-            g.entryWords = c0.entryWords;
-            g.base = lane_words;
-            for (std::size_t l = 0; l < lanes::laneWidth; ++l) {
-                const std::size_t si = members[g0 + l];
-                g.schemeIdx[l] = si;
-                const IndexPlan &p = compiled_[si].plan;
-                g.plans.addrMask[l] = p.addrMask;
-                g.plans.addrShift[l] = p.addrShift;
-                g.plans.dirMask[l] = p.dirMask;
-                g.plans.dirShift[l] = p.dirShift;
-                g.plans.pcMask[l] = p.pcMask;
-                g.plans.pcShift[l] = p.pcShift;
-                g.plans.pidMask[l] = p.pidMask;
-                g.plans.pidShift[l] = p.pidShift;
-            }
-            lane_words +=
-                checkedSchemeStateWords(bits_max, g.entryWords) *
-                lanes::laneWidth;
-            laneGroups_.push_back(g);
-            g0 += lanes::laneWidth;
-        }
-        // A partial trailing group would waste gather lanes; the
-        // leftovers ride the scalar path instead.
-        for (std::size_t r = g0; r < members.size(); ++r)
-            scalarSchemes_.push_back(members[r]);
-    }
-    laneState_.assign(lane_words, 0);
-    laneIdxScratch_.assign(
-        laneGroups_.size() * lanes::laneScratchWords, 0);
 }
 
 template <UpdateMode mode>
@@ -440,105 +294,6 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
     }
 }
 
-template <UpdateMode mode>
-void
-BatchEvaluator::runTraceSimd(
-    const trace::SharingTrace &trace,
-    const std::vector<SharingBitmap> &ordered_fb)
-{
-    const std::uint64_t mask = SharingBitmap::all(nNodes_).raw();
-    std::uint64_t *const state = state_.data();
-    std::uint64_t *const lane_state = laneState_.data();
-    Compiled *const compiled = compiled_.data();
-    lanes::LaneGroup *const groups = laneGroups_.data();
-    const std::size_t n_groups = laneGroups_.size();
-
-    const lanes::LaneKernel::RunFn lane_run =
-        mode == UpdateMode::Direct      ? laneKernel_->direct
-        : mode == UpdateMode::Forwarded ? laneKernel_->forwarded
-                                        : laneKernel_->ordered;
-    std::uint64_t *const lane_scratch = laneIdxScratch_.data();
-
-    const std::size_t *const scalar_idx = scalarSchemes_.data();
-    const std::size_t n_scalar = scalarSchemes_.size();
-    std::uint64_t **const ent = entryScratch_.data();
-    std::uint64_t **const upd_ptr = updScratch_.data();
-
-    std::uint64_t total_actual_pop = 0;
-    EventSeq seq = 0;
-    for (const auto &ev : trace.events()) {
-        lanes::LaneEvent le;
-        le.pid = ev.pid;
-        le.pcw = ev.pc >> 2;
-        le.dir = ev.dir;
-        le.block = ev.block;
-        le.prevPid = ev.prevWriterPid;
-        le.prevPcw = ev.prevWriterPc >> 2;
-        le.inval = ev.invalidated.raw();
-        le.fb = mode == UpdateMode::Ordered ? ordered_fb[seq].raw()
-                                            : 0;
-        le.actual = ev.readers.raw() & mask;
-        le.mask = mask;
-        le.hasPrev = ev.hasPrevWriter;
-        const std::uint64_t actual_pop = std::popcount(le.actual);
-        total_actual_pop += actual_pop;
-
-        // Address pass over the leftover schemes, as in runTrace:
-        // resolve (and prefetch) each entry before any is touched, so
-        // their cache misses overlap — with each other and with the
-        // lane kernel's own address stage, which runs right after
-        // while these prefetches are still in flight.
-        for (std::size_t k = 0; k < n_scalar; ++k) {
-            const Compiled &c = compiled[scalar_idx[k]];
-            std::uint64_t *const slice = state + c.base;
-            std::uint64_t *const entry =
-                slice + c.plan.fromWords(le.pid, le.pcw, le.dir,
-                                         le.block) *
-                            c.entryWords;
-            ent[k] = entry;
-            __builtin_prefetch(entry, 1);
-            if (mode == UpdateMode::Forwarded) {
-                std::uint64_t *upd =
-                    le.hasPrev
-                        ? slice + c.plan.fromWords(le.prevPid,
-                                                   le.prevPcw, le.dir,
-                                                   le.block) *
-                                      c.entryWords
-                        : entry;
-                upd_ptr[k] = upd;
-                __builtin_prefetch(upd, 1);
-            }
-        }
-
-        if (n_groups)
-            lane_run(groups, n_groups, lane_state, le, lane_scratch);
-
-        // Leftover and PAs schemes: the scalar per-scheme body.
-        for (std::size_t k = 0; k < n_scalar; ++k) {
-            Compiled &c = compiled[scalar_idx[k]];
-            std::uint64_t *const entry = ent[k];
-            std::uint64_t *const upd =
-                mode == UpdateMode::Forwarded ? upd_ptr[k] : entry;
-            stepScheme<mode>(c, entry, upd, le.hasPrev, le.inval,
-                             le.fb, mask, le.actual, actual_pop);
-        }
-        ++seq;
-    }
-
-    // Fold the lane tallies back into the per-scheme confusion
-    // slots; fp and fn follow by conservation (predicted-positive
-    // and actual-positive totals minus the true positives).
-    for (std::size_t gi = 0; gi < n_groups; ++gi) {
-        const lanes::LaneGroup &g = groups[gi];
-        for (std::size_t l = 0; l < lanes::laneWidth; ++l) {
-            Compiled &c = compiled[g.schemeIdx[l]];
-            c.tp = g.tp[l];
-            c.fp = g.pp[l] - g.tp[l];
-            c.fn = total_actual_pop - g.tp[l];
-        }
-    }
-}
-
 std::vector<Confusion>
 BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
                               UpdateMode mode)
@@ -547,32 +302,24 @@ BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
                "batch compiled for ", nNodes_, " nodes, trace has ",
                trace.nNodes());
     std::fill(state_.begin(), state_.end(), 0);
-    std::fill(laneState_.begin(), laneState_.end(), 0);
     for (Compiled &c : compiled_)
         c.tp = c.fp = c.fn = 0;
-    for (lanes::LaneGroup &g : laneGroups_)
-        for (std::size_t l = 0; l < lanes::laneWidth; ++l)
-            g.tp[l] = g.pp[l] = 0;
 
     std::vector<SharingBitmap> ordered_fb;
     if (mode == UpdateMode::Ordered)
         ordered_fb = predict::orderedFeedback(trace);
 
-    const bool simd = engine_ == BatchEngine::Simd;
     CCP_TRACE_SPAN_N("batch", "batch.trace", trace.events().size());
     obs::Stopwatch watch;
     switch (mode) {
       case UpdateMode::Direct:
-        simd ? runTraceSimd<UpdateMode::Direct>(trace, ordered_fb)
-             : runTrace<UpdateMode::Direct>(trace, ordered_fb);
+        runTrace<UpdateMode::Direct>(trace, ordered_fb);
         break;
       case UpdateMode::Forwarded:
-        simd ? runTraceSimd<UpdateMode::Forwarded>(trace, ordered_fb)
-             : runTrace<UpdateMode::Forwarded>(trace, ordered_fb);
+        runTrace<UpdateMode::Forwarded>(trace, ordered_fb);
         break;
       case UpdateMode::Ordered:
-        simd ? runTraceSimd<UpdateMode::Ordered>(trace, ordered_fb)
-             : runTrace<UpdateMode::Ordered>(trace, ordered_fb);
+        runTrace<UpdateMode::Ordered>(trace, ordered_fb);
         break;
     }
     double sec = watch.elapsedSec();

@@ -42,36 +42,9 @@
 #include "predict/evaluator.hh"
 #include "predict/function.hh"
 #include "predict/index.hh"
-#include "sweep/batch_lanes.hh"
 #include "trace/trace.hh"
 
 namespace ccp::sweep {
-
-/**
- * Which state layout / inner loop a BatchEvaluator runs.
- *
- *  - Scalar: the per-scheme packed-slice layout above (PR 4).
- *  - Simd: the structure-of-arrays lane layout (batch_lanes.hh) —
- *    window-family schemes are regrouped into 4-wide lanes per
- *    (family, depth, indexBits) class and stepped by a lane kernel
- *    (AVX2 when built + supported + not disabled via the
- *    CCP_SIMD_DISABLE environment override, portable u64 arrays
- *    otherwise); schemes that don't fill a lane group, and the PAs
- *    family, keep the scalar path.  Confusion counts are identical
- *    under either engine.
- */
-enum class BatchEngine : std::uint8_t
-{
-    Scalar,
-    Simd,
-};
-
-/**
- * The lane backend the Simd engine would pick on this host right now:
- * "avx2" when the AVX2 translation unit is built, CPUID reports AVX2,
- * and CCP_SIMD_DISABLE is not set; "scalar" otherwise.
- */
-const char *simdBackendName();
 
 /**
  * Evaluates a fixed batch of schemes over traces, event-major.
@@ -88,36 +61,12 @@ class BatchEvaluator
     /**
      * @param schemes The batch (evaluated and returned in order).
      * @param n_nodes Machine size of every trace this batch will see.
-     * @param engine State layout / inner loop (results identical).
      */
     BatchEvaluator(std::vector<predict::SchemeSpec> schemes,
-                   unsigned n_nodes,
-                   BatchEngine engine = BatchEngine::Scalar);
+                   unsigned n_nodes);
 
     std::size_t size() const { return schemes_.size(); }
     unsigned nNodes() const { return nNodes_; }
-    BatchEngine engine() const { return engine_; }
-
-    /** Lane backend tag ("avx2" / "scalar"); "none" under Scalar. */
-    const char *
-    laneBackend() const
-    {
-        return laneKernel_ != nullptr ? laneKernel_->name : "none";
-    }
-
-    /** Schemes running in SoA lane groups (0 under Scalar). */
-    std::size_t
-    laneSchemes() const
-    {
-        return laneGroups_.size() * lanes::laneWidth;
-    }
-
-    /** Total packed predictor-state words across the batch. */
-    std::size_t
-    stateWords() const
-    {
-        return state_.size() + laneState_.size();
-    }
 
     /**
      * Evaluate every scheme of the batch over one trace (predictor
@@ -171,14 +120,7 @@ class BatchEvaluator
     void runTrace(const trace::SharingTrace &trace,
                   const std::vector<SharingBitmap> &ordered_fb);
 
-    /** The Simd engine's event loop: lane groups stepped through the
-     *  selected lane kernel, leftover schemes through stepScheme. */
-    template <predict::UpdateMode mode>
-    void runTraceSimd(const trace::SharingTrace &trace,
-                      const std::vector<SharingBitmap> &ordered_fb);
-
-    /** One scheme's update/predict/tally for one event — the shared
-     *  per-scheme body of both engines' scalar paths. */
+    /** One scheme's update/predict/tally for one event. */
     template <predict::UpdateMode mode>
     static void stepScheme(Compiled &c, std::uint64_t *entry,
                            std::uint64_t *upd, bool has_prev,
@@ -187,33 +129,17 @@ class BatchEvaluator
                            std::uint64_t actual,
                            std::uint64_t actual_pop);
 
-    /** Simd-engine compilation: regroup window-family schemes into
-     *  lane groups, route the rest to scalarSchemes_, size and select
-     *  the lane kernel.  @p bits_of holds each scheme's index width. */
-    void partitionLanes(const std::vector<unsigned> &bits_of);
-
     std::vector<predict::SchemeSpec> schemes_;
     std::vector<Compiled> compiled_;
     unsigned nNodes_;
     unsigned nodeBits_;
-    BatchEngine engine_ = BatchEngine::Scalar;
-    /** All scalar-path predictor state, packed: scalar scheme i owns
+    /** All predictor state, packed: scheme i owns
      *  [compiled_[i].base, base + entries * entryWords). */
     std::vector<std::uint64_t> state_;
     /** Per-event scratch for the address pass: each scheme's resolved
      *  entry (and, under forwarded update, update-entry) pointer. */
     std::vector<std::uint64_t *> entryScratch_;
     std::vector<std::uint64_t *> updScratch_;
-    /** Simd engine only: lane groups, their SoA state block, the
-     *  schemes left on the scalar path (all of them under Scalar),
-     *  and the selected lane kernel. */
-    std::vector<lanes::LaneGroup> laneGroups_;
-    std::vector<std::uint64_t> laneState_;
-    std::vector<std::size_t> scalarSchemes_;
-    /** Per-event lane-index scratch the kernel's address stage fills
-     *  (laneScratchWords per group). */
-    std::vector<std::uint64_t> laneIdxScratch_;
-    const lanes::LaneKernel *laneKernel_ = nullptr;
 };
 
 /** Ceiling on one scheme's packed state (2^38 words = 2 TiB): any
@@ -223,15 +149,6 @@ class BatchEvaluator
  *  the size_t shift/multiply wrap and under-allocate. */
 inline constexpr std::size_t maxSchemeStateWords = std::size_t(1)
                                                    << 38;
-
-/** Cap on the index-width spread inside one simd lane group: lanes of
- *  one (family, depth) class may differ in index bits, with the
- *  group's entry count padded to the widest lane's — but a lane is
- *  never padded by more than this many bits (2^maxLanePadBits = 16x
- *  its own entry count), so grouping cannot blow up the batch's state
- *  footprint; schemes too narrow for any group within the cap ride
- *  the scalar path instead. */
-inline constexpr unsigned maxLanePadBits = 4;
 
 /**
  * Packed predictor-state words one scheme needs in the event-major

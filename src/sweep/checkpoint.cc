@@ -56,7 +56,7 @@ validHeaderStructure(const CheckpointHeader &h)
         return false;
     if (h.nNodes == 0 || h.nNodes > maxNodes)
         return false;
-    if (h.kernel > 2)
+    if (h.kernel > static_cast<std::uint32_t>(SweepKernel::Reference))
         return false;
     if (h.nTraces == 0 || h.nTraces > maxCheckpointTraces)
         return false;
@@ -330,8 +330,11 @@ saveCheckpoint(const std::string &path, const CheckpointKey &key,
     // prefix regardless of where header/payload boundaries fall.
     std::vector<char> image(sizeof(header) + payload.size());
     std::memcpy(image.data(), &header, sizeof(header));
-    std::memcpy(image.data() + sizeof(header), payload.data(),
-                payload.size());
+    // An empty vector's data() may be null, and memcpy from null is
+    // UB even for zero bytes.
+    if (!payload.empty())
+        std::memcpy(image.data() + sizeof(header), payload.data(),
+                    payload.size());
 
     std::size_t write_bytes = image.size();
     if (fault::enabled()) {
@@ -469,8 +472,11 @@ saveStateBlob(const std::string &path, std::uint64_t key_hash,
 
     std::vector<char> image(sizeof(header) + payload.size());
     std::memcpy(image.data(), &header, sizeof(header));
-    std::memcpy(image.data() + sizeof(header), payload.data(),
-                payload.size());
+    // An empty vector's data() may be null, and memcpy from null is
+    // UB even for zero bytes.
+    if (!payload.empty())
+        std::memcpy(image.data() + sizeof(header), payload.data(),
+                    payload.size());
 
     std::size_t write_bytes = image.size();
     if (fault::enabled()) {

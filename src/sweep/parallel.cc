@@ -24,8 +24,6 @@ sweepKernelName(SweepKernel kernel)
         return "batched";
       case SweepKernel::Reference:
         return "reference";
-      case SweepKernel::Simd:
-        return "simd";
     }
     ccp_panic("bad SweepKernel");
 }
@@ -39,10 +37,6 @@ parseSweepKernel(const std::string &text, SweepKernel &kernel)
     }
     if (text == "reference") {
         kernel = SweepKernel::Reference;
-        return true;
-    }
-    if (text == "simd") {
-        kernel = SweepKernel::Simd;
         return true;
     }
     return false;
@@ -177,10 +171,7 @@ ParallelSweep::evaluateBatched(
                          static_cast<std::ptrdiff_t>(first),
                      schemes.begin() +
                          static_cast<std::ptrdiff_t>(last)},
-                    n_nodes,
-                    kernel_ == SweepKernel::Simd
-                        ? BatchEngine::Simd
-                        : BatchEngine::Scalar);
+                    n_nodes);
                 auto batch_results = batch.evaluateSuite(traces, mode);
                 for (std::size_t i = 0; i < batch_results.size(); ++i)
                     results[first + i] = std::move(batch_results[i]);

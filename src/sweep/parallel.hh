@@ -41,27 +41,21 @@ namespace ccp::sweep {
  *               (predict/evaluator.hh) — the original loop, kept as
  *               the differential-testing oracle and for `--kernel
  *               reference` A/B runs.
- *  - Simd:      the BatchEvaluator again, with its SoA lane engine
- *               (sweep/batch_lanes.hh): window-family schemes are
- *               regrouped into 4-wide u64 lanes per layout class and
- *               stepped by the AVX2 lane kernel where available
- *               (portable u64-array fallback by CPUID or
- *               CCP_SIMD_DISABLE=1).
  *
- * All kernels produce bit-identical Confusion counts for every
+ * Both kernels produce bit-identical Confusion counts for every
  * (scheme, trace, mode), so rankings and printed tables never depend
- * on the kernel choice.
+ * on the kernel choice.  The enumerator values are stored in CCPC
+ * checkpoint headers and must not change.
  */
 enum class SweepKernel : std::uint8_t
 {
-    Batched,
-    Reference,
-    Simd,
+    Batched = 0,
+    Reference = 1,
 };
 
 const char *sweepKernelName(SweepKernel kernel);
 
-/** Parse "batched" / "reference" / "simd"; @return false else. */
+/** Parse "batched" / "reference"; @return false else. */
 bool parseSweepKernel(const std::string &text, SweepKernel &kernel);
 
 class ParallelSweep

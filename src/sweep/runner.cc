@@ -407,10 +407,7 @@ ResilientRunner::evaluate(const std::vector<trace::SharingTrace> &traces,
                              schemes.begin() +
                                  static_cast<std::ptrdiff_t>(
                                      task.last)},
-                            n_nodes,
-                            opts_.kernel == SweepKernel::Simd
-                                ? BatchEngine::Simd
-                                : BatchEngine::Scalar);
+                            n_nodes);
                         task_results =
                             batch.evaluateSuite(traces, mode);
                     } else {

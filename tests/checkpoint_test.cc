@@ -39,6 +39,7 @@ using sweep::SweepKernel;
 
 // Header byte offsets (static_asserted to 96 bytes total).
 constexpr std::size_t offVersion = 4;
+constexpr std::size_t offKernel = 12;
 constexpr std::size_t offSchemeSetHash = 24;
 constexpr std::size_t offChecksum = 64;
 constexpr std::size_t headerBytes = 96;
@@ -378,6 +379,35 @@ TEST_F(CheckpointTest, VersionSkewIsRejectedEvenWithAValidChecksum)
     writeFile(path, bytes);
 
     std::vector<CheckpointEntry> loaded;
+    EXPECT_EQ(loadCheckpoint(path, key, loaded),
+              CheckpointLoad::Invalid);
+}
+
+TEST_F(CheckpointTest, UnknownKernelIsRejectedEvenWithAValidChecksum)
+{
+    auto suite = tinySuite();
+    auto schemes = tinySpace();
+    const CheckpointKey key = tinyKey(suite, schemes);
+    const std::string path = tempPath("kernel.ckpt");
+    ASSERT_TRUE(saveCheckpoint(path, key, someEntries(suite.size())));
+    const auto bytes = readFile(path);
+    std::vector<CheckpointEntry> loaded;
+
+    // Kernel word 1 (reference) is a valid header from another sweep.
+    auto reference = bytes;
+    std::uint32_t k = 1;
+    std::memcpy(reference.data() + offKernel, &k, 4);
+    resealChecksum(reference);
+    writeFile(path, reference);
+    EXPECT_EQ(loadCheckpoint(path, key, loaded),
+              CheckpointLoad::KeyMismatch);
+
+    // Kernel word 2 names no kernel: structurally invalid.
+    auto unknown = bytes;
+    k = 2;
+    std::memcpy(unknown.data() + offKernel, &k, 4);
+    resealChecksum(unknown);
+    writeFile(path, unknown);
     EXPECT_EQ(loadCheckpoint(path, key, loaded),
               CheckpointLoad::Invalid);
 }

@@ -1,32 +1,24 @@
 /**
  * @file
- * Differential tests: the event-major BatchEvaluator — under both its
- * Scalar engine and the SoA Simd engine — against the reference
- * per-scheme Evaluator, asserting *exact* equality of Confusion
- * counts on randomized traces (a kernel triple per scheme).
+ * Differential tests: the event-major BatchEvaluator against the
+ * reference per-scheme Evaluator, asserting *exact* equality of
+ * Confusion counts on randomized traces.
  *
  * The batched kernel re-implements the per-entry state transitions
- * (window, overlap-last) and the index computation (IndexPlan), and
- * the simd kernel additionally regroups schemes into 4-wide lanes
- * with interleaved state, so the reference evaluator is kept alive as
- * the oracle: any divergence in semantics — update ordering, window
- * rotation, index packing, word boundaries, lane interleave — shows
- * up here as an exact-count mismatch.
+ * (window, overlap-last) and the index computation (IndexPlan), so the
+ * reference evaluator is kept alive as the oracle: any divergence in
+ * semantics — update ordering, window rotation, index packing, word
+ * boundaries — shows up here as an exact-count mismatch.
  *
  * Coverage: all 16 indexing classes of Table 1 x all five function
  * families (the perceptron with randomized weight widths, thresholds,
  * Bloom sizes, and hashed-vs-flat indexing) x history depths 1..4 x
  * all three update modes, on machines of 4, 16, and 64 nodes (the
- * last stressing full-width 64-bit sharing bitmaps), with the simd
- * engine exercised both through its preferred backend and — via the
- * CCP_SIMD_DISABLE override — through the portable scalar lane path.
+ * last stressing full-width 64-bit sharing bitmaps).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <iterator>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -189,40 +181,6 @@ perceptronSchemes(Rng &rng, unsigned max_field_bits)
     return schemes;
 }
 
-/**
- * Four *distinct* schemes sharing one (family, depth, indexBits)
- * layout class — pid, dir, pc, and addr indexing at equal total
- * width — so the simd engine forms a full lane group whose lanes
- * carry different masks and shifts (the random grid rarely collides
- * four schemes into one class on its own).
- */
-void
-appendLaneClass(std::vector<SchemeSpec> &schemes, unsigned node_bits,
-                FunctionKind kind, unsigned depth)
-{
-    IndexSpec pid, dir, pc, addr;
-    pid.usePid = true;
-    dir.useDir = true;
-    pc.pcBits = node_bits;
-    addr.addrBits = node_bits;
-    for (const IndexSpec &idx : {pid, dir, pc, addr})
-        schemes.push_back(SchemeSpec{idx, kind, depth});
-}
-
-void
-appendLaneClasses(std::vector<SchemeSpec> &schemes, unsigned n_nodes)
-{
-    const unsigned node_bits = predict::nodeBitsFor(n_nodes);
-    // Union/Inter at depth 1 both collapse to the Last family: the
-    // eight schemes below land in ONE layout class and form two
-    // groups, locking down multi-group classes too.
-    appendLaneClass(schemes, node_bits, FunctionKind::Union, 1);
-    appendLaneClass(schemes, node_bits, FunctionKind::Inter, 1);
-    appendLaneClass(schemes, node_bits, FunctionKind::Union, 3);
-    appendLaneClass(schemes, node_bits, FunctionKind::Inter, 2);
-    appendLaneClass(schemes, node_bits, FunctionKind::OverlapLast, 1);
-}
-
 void
 expectExactMatch(const Confusion &got, const Confusion &want,
                  const SchemeSpec &scheme, UpdateMode mode)
@@ -245,29 +203,18 @@ runDifferential(std::uint64_t seed, unsigned n_nodes,
     Rng rng(seed);
     auto schemes = randomSchemes(rng, max_field_bits, max_pas_depth);
     ASSERT_GE(schemes.size(), 64u);
-    appendLaneClasses(schemes, n_nodes);
     auto tr = randomTrace(rng, n_nodes, events);
 
     sweep::BatchEvaluator batch(schemes, n_nodes);
-    sweep::BatchEvaluator simd(schemes, n_nodes,
-                               sweep::BatchEngine::Simd);
     ASSERT_EQ(batch.size(), schemes.size());
-    ASSERT_EQ(simd.size(), schemes.size());
-    // The appended lane classes guarantee the simd engine actually
-    // forms lane groups here — a degenerate all-scalar partition
-    // would vacuously pass the triple.
-    ASSERT_GE(simd.laneSchemes(), 20u);
 
     for (UpdateMode mode : kModes) {
         auto got = batch.evaluateTrace(tr, mode);
-        auto got_simd = simd.evaluateTrace(tr, mode);
         ASSERT_EQ(got.size(), schemes.size());
-        ASSERT_EQ(got_simd.size(), schemes.size());
         for (std::size_t i = 0; i < schemes.size(); ++i) {
             Confusion want =
                 predict::evaluateTrace(tr, schemes[i], mode);
             expectExactMatch(got[i], want, schemes[i], mode);
-            expectExactMatch(got_simd[i], want, schemes[i], mode);
         }
     }
 }
@@ -292,9 +239,8 @@ TEST(Differential, FullWordMachineSixtyFourNodes)
                     /*max_field_bits=*/2, /*max_pas_depth=*/2);
 }
 
-/** The perceptron triple: reference oracle vs scalar batch vs simd
- *  engine (which must route perceptron and hashed-index schemes to
- *  its scalar lane path without disturbing their counts). */
+/** The perceptron pair: reference oracle vs batched kernel, over
+ *  hashed/flat index twins. */
 void
 runPerceptronDifferential(std::uint64_t seed, unsigned n_nodes,
                           std::size_t events, unsigned max_field_bits)
@@ -305,21 +251,15 @@ runPerceptronDifferential(std::uint64_t seed, unsigned n_nodes,
     auto tr = randomTrace(rng, n_nodes, events);
 
     sweep::BatchEvaluator batch(schemes, n_nodes);
-    sweep::BatchEvaluator simd(schemes, n_nodes,
-                               sweep::BatchEngine::Simd);
     ASSERT_EQ(batch.size(), schemes.size());
-    ASSERT_EQ(simd.size(), schemes.size());
 
     for (UpdateMode mode : kModes) {
         auto got = batch.evaluateTrace(tr, mode);
-        auto got_simd = simd.evaluateTrace(tr, mode);
         ASSERT_EQ(got.size(), schemes.size());
-        ASSERT_EQ(got_simd.size(), schemes.size());
         for (std::size_t i = 0; i < schemes.size(); ++i) {
             Confusion want =
                 predict::evaluateTrace(tr, schemes[i], mode);
             expectExactMatch(got[i], want, schemes[i], mode);
-            expectExactMatch(got_simd[i], want, schemes[i], mode);
         }
     }
 }
@@ -392,104 +332,6 @@ TEST(Differential, StateIsClearedBetweenTraces)
 }
 
 // ---------------------------------------------------------------------
-// Simd engine specifics: backend selection and lane partitioning.
-
-/** Scoped CCP_SIMD_DISABLE=1 (BatchEvaluator reads it per ctor). */
-class ScopedSimdDisable
-{
-  public:
-    ScopedSimdDisable()
-    {
-        const char *old = std::getenv("CCP_SIMD_DISABLE");
-        hadOld_ = old != nullptr;
-        if (hadOld_)
-            old_ = old;
-        ::setenv("CCP_SIMD_DISABLE", "1", 1);
-    }
-    ~ScopedSimdDisable()
-    {
-        if (hadOld_)
-            ::setenv("CCP_SIMD_DISABLE", old_.c_str(), 1);
-        else
-            ::unsetenv("CCP_SIMD_DISABLE");
-    }
-
-  private:
-    bool hadOld_ = false;
-    std::string old_;
-};
-
-TEST(SimdKernel, DisableOverrideForcesScalarLanes)
-{
-    Rng rng(31);
-    auto schemes = randomSchemes(rng, 3, 2);
-    appendLaneClasses(schemes, 16);
-    auto tr = randomTrace(rng, 16, 900);
-
-    // Preferred backend (avx2 on capable hosts, scalar elsewhere)...
-    sweep::BatchEvaluator preferred(schemes, 16,
-                                    sweep::BatchEngine::Simd);
-    ASSERT_GE(preferred.laneSchemes(), 20u);
-    std::vector<std::vector<Confusion>> want;
-    for (UpdateMode mode : kModes)
-        want.push_back(preferred.evaluateTrace(tr, mode));
-
-    // ...and the forced portable lane path must agree exactly.
-    ScopedSimdDisable disable;
-    sweep::BatchEvaluator forced(schemes, 16,
-                                 sweep::BatchEngine::Simd);
-    EXPECT_STREQ(forced.laneBackend(), "scalar");
-    EXPECT_STREQ(sweep::simdBackendName(), "scalar");
-    EXPECT_EQ(forced.laneSchemes(), preferred.laneSchemes());
-    for (std::size_t m = 0; m < std::size(kModes); ++m) {
-        auto got = forced.evaluateTrace(tr, kModes[m]);
-        ASSERT_EQ(got.size(), want[m].size());
-        for (std::size_t i = 0; i < got.size(); ++i)
-            expectExactMatch(got[i], want[m][i], schemes[i],
-                             kModes[m]);
-    }
-}
-
-TEST(SimdKernel, PerceptronTripleHoldsUnderForcedScalarLanes)
-{
-    // The perceptron differential again, but with the simd engine
-    // forced onto its portable scalar lane path: the scalar-routed
-    // perceptron schemes must be unaffected by the backend override.
-    ScopedSimdDisable disable;
-    runPerceptronDifferential(/*seed=*/53, /*n_nodes=*/16,
-                              /*events=*/1200, /*max_field_bits=*/3);
-}
-
-TEST(SimdKernel, ScalarEngineFormsNoLaneGroups)
-{
-    Rng rng(37);
-    auto schemes = randomSchemes(rng, 2, 2);
-    sweep::BatchEvaluator scalar(schemes, 16);
-    EXPECT_EQ(scalar.engine(), sweep::BatchEngine::Scalar);
-    EXPECT_EQ(scalar.laneSchemes(), 0u);
-    EXPECT_STREQ(scalar.laneBackend(), "none");
-}
-
-TEST(SimdKernel, LaneGroupsAreMultiplesOfFourAndStateMatches)
-{
-    // Eight identical-layout schemes (same family, depth, indexBits)
-    // must form exactly two full lane groups with no scalar leftovers
-    // growing the footprint: the simd engine's state total equals the
-    // scalar engine's (same entries x words, different interleave).
-    std::vector<SchemeSpec> schemes;
-    IndexSpec idx;
-    idx.addrBits = 6;
-    for (int i = 0; i < 8; ++i)
-        schemes.push_back(SchemeSpec{idx, FunctionKind::Union, 2});
-
-    sweep::BatchEvaluator scalar(schemes, 16);
-    sweep::BatchEvaluator simd(schemes, 16,
-                               sweep::BatchEngine::Simd);
-    EXPECT_EQ(simd.laneSchemes(), 8u);
-    EXPECT_EQ(simd.stateWords(), scalar.stateWords());
-}
-
-// ---------------------------------------------------------------------
 // schemeStateWords overflow hardening: adversarial index widths must
 // die with a structured error instead of wrapping size_t and
 // under-allocating state.
@@ -525,9 +367,6 @@ TEST(SchemeStateWordsDeathTest, BatchConstructorRejectsWideIndex)
     s.depth = 1;
     schemes.push_back(s);
     EXPECT_DEATH(sweep::BatchEvaluator(schemes, 16), "index width");
-    EXPECT_DEATH(sweep::BatchEvaluator(schemes, 16,
-                                       sweep::BatchEngine::Simd),
-                 "index width");
 }
 
 TEST(SchemeStateWords, AcceptsTheWidestLegalScheme)

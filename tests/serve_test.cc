@@ -496,7 +496,13 @@ class ServerSnapshotTest : public ::testing::Test
     std::string
     snapPath() const
     {
-        return ::testing::TempDir() + "serve_snapshot.ccps";
+        // One file per test: ctest runs each case in its own process,
+        // concurrently, so a shared name would race.
+        return ::testing::TempDir() + "serve_snapshot." +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name() +
+               ".ccps";
     }
 
     std::vector<char>

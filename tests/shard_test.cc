@@ -151,8 +151,9 @@ TEST(ShardPlanTest, PartitionIsAPermutationAndDeterministic)
                     << "index " << gi << " owned twice";
                 // Ascending within a shard: a shard's local entry
                 // order must be its global order for the merge remap.
-                if (!first)
+                if (!first) {
                     EXPECT_LT(prev, gi);
+                }
                 prev = gi;
                 first = false;
             }
