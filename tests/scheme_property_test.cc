@@ -46,6 +46,14 @@ struct SweepCase
     UpdateMode mode;
 };
 
+/** Print by value: the default byte dump would put the literal's
+ *  address (random under ASLR) into the discovered test name. */
+void
+PrintTo(const SweepCase &c, std::ostream *os)
+{
+    *os << c.scheme << ' ' << predict::updateModeName(c.mode);
+}
+
 class SchemePropertyTest : public ::testing::TestWithParam<SweepCase>
 {
 };
