@@ -52,34 +52,8 @@ simulateForwarding(const trace::SharingTrace &trace,
     const unsigned data_bytes = params.torus.dataMessageBytes;
     const unsigned ctrl_bytes = params.torus.controlMessageBytes;
 
-    std::vector<SharingBitmap> ordered_fb;
-    if (mode == UpdateMode::Ordered)
-        ordered_fb = predict::orderedFeedback(trace);
-
-    EventSeq seq = 0;
-    for (const auto &ev : trace.events()) {
-        SharingBitmap pred;
-        switch (mode) {
-          case UpdateMode::Direct:
-            if (ev.hasPrevWriter)
-                table.update(ev.pid, ev.pc, ev.dir, ev.block,
-                             ev.invalidated);
-            pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-          case UpdateMode::Forwarded:
-            if (ev.hasPrevWriter)
-                table.update(ev.prevWriterPid, ev.prevWriterPc, ev.dir,
-                             ev.block, ev.invalidated);
-            pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-          case UpdateMode::Ordered:
-            pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            table.update(ev.pid, ev.pc, ev.dir, ev.block,
-                         ordered_fb[seq]);
-            break;
-        }
-        ++seq;
-
+    auto observe = [&](const trace::CoherenceEvent &ev,
+                       SharingBitmap pred) {
         ++res.events;
         pred = pred & SharingBitmap::all(n);
         // Never forward to the writer itself.
@@ -113,7 +87,8 @@ simulateForwarding(const trace::SharingTrace &trace,
                 ++res.missedReaders;
             }
         }
-    }
+    };
+    predict::replayTrace(trace, table, mode, observe);
     return res;
 }
 

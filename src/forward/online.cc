@@ -18,10 +18,8 @@ OnlineForwarder::attach(mem::CoherenceController &ctl)
         // protocol, ev.invalidated contains true readers only, even
         // though the directory's sharer set was polluted by our own
         // earlier forwards.
-        if (ev.hasPrevWriter)
-            table_.update(ev.pid, ev.pc, ev.dir, ev.block,
-                          ev.invalidated);
-        return table_.predict(ev.pid, ev.pc, ev.dir, ev.block);
+        return predict::stepEvent(table_, ev,
+                                  predict::UpdateMode::Direct);
     });
 }
 

@@ -91,35 +91,10 @@ evaluateDistributed(const trace::SharingTrace &trace,
     const unsigned n = trace.nNodes();
     Confusion conf;
 
-    std::vector<SharingBitmap> ordered_fb;
-    if (mode == UpdateMode::Ordered)
-        ordered_fb = orderedFeedback(trace);
-
-    EventSeq seq = 0;
-    for (const auto &ev : trace.events()) {
-        SharingBitmap pred;
-        switch (mode) {
-          case UpdateMode::Direct:
-            if (ev.hasPrevWriter)
-                predictor.update(ev.pid, ev.pc, ev.dir, ev.block,
-                                 ev.invalidated);
-            pred = predictor.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-          case UpdateMode::Forwarded:
-            if (ev.hasPrevWriter)
-                predictor.update(ev.prevWriterPid, ev.prevWriterPc,
-                                 ev.dir, ev.block, ev.invalidated);
-            pred = predictor.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-          case UpdateMode::Ordered:
-            pred = predictor.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            predictor.update(ev.pid, ev.pc, ev.dir, ev.block,
-                             ordered_fb[seq]);
-            break;
-        }
-        conf.add(pred, ev.readers, n);
-        ++seq;
-    }
+    replayTrace(trace, predictor, mode,
+                [&](const trace::CoherenceEvent &ev, SharingBitmap pred) {
+                    conf.add(pred, ev.readers, n);
+                });
     return conf;
 }
 

@@ -6,20 +6,6 @@
 
 namespace ccp::predict {
 
-const char *
-updateModeName(UpdateMode mode)
-{
-    switch (mode) {
-      case UpdateMode::Direct:
-        return "direct";
-      case UpdateMode::Forwarded:
-        return "forwarded";
-      case UpdateMode::Ordered:
-        return "ordered";
-    }
-    ccp_panic("bad UpdateMode");
-}
-
 PredictorTable
 SchemeSpec::makeTable(unsigned n_nodes) const
 {
@@ -37,26 +23,6 @@ SchemeSpec::sizeBits(unsigned n_nodes) const
     return entries * fn->entryBits(n_nodes);
 }
 
-std::vector<SharingBitmap>
-orderedFeedback(const trace::SharingTrace &trace)
-{
-    // Ordered update delivers exactly the feedback forwarded update
-    // would (the set of readers *invalidated* when the version dies),
-    // just perfectly ordered in time.  The bitmap each event will
-    // eventually generate is recorded on its successor; versions
-    // still live at the end of the trace feed back their full reader
-    // set (final-memory-state semantics, paper section 5.1).
-    const auto &events = trace.events();
-    std::vector<SharingBitmap> feedback(events.size());
-    for (std::size_t i = 0; i < events.size(); ++i)
-        feedback[i] = events[i].readers;
-    for (const auto &ev : events) {
-        if (ev.prevEvent != trace::noEvent)
-            feedback[ev.prevEvent] = ev.invalidated;
-    }
-    return feedback;
-}
-
 Confusion
 evaluateTrace(const trace::SharingTrace &trace, PredictorTable &table,
               UpdateMode mode)
@@ -65,48 +31,11 @@ evaluateTrace(const trace::SharingTrace &trace, PredictorTable &table,
     const unsigned n = trace.nNodes();
     Confusion conf;
 
-    std::vector<SharingBitmap> ordered_fb;
-    if (mode == UpdateMode::Ordered)
-        ordered_fb = orderedFeedback(trace);
-
     obs::Stopwatch watch;
-    EventSeq seq = 0;
-    for (const auto &ev : trace.events()) {
-        SharingBitmap pred;
-        switch (mode) {
-          case UpdateMode::Direct:
-            // Feedback exists only when a *written* version died here
-            // (the invalidation of some writer's readers).  Blocks
-            // read before their first write carry no attributable
-            // history.
-            if (ev.hasPrevWriter)
-                table.update(ev.pid, ev.pc, ev.dir, ev.block,
-                             ev.invalidated);
-            pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-
-          case UpdateMode::Forwarded:
-            // The dying version's readers update the entry of the
-            // writer that produced it.  When the index uses no writer
-            // identity (pure address schemes) this entry coincides
-            // with the current writer's, which is why direct,
-            // forwarded and ordered update are equivalent there
-            // (paper section 3.4).
-            if (ev.hasPrevWriter)
-                table.update(ev.prevWriterPid, ev.prevWriterPc, ev.dir,
-                             ev.block, ev.invalidated);
-            pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-
-          case UpdateMode::Ordered:
-            pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            table.update(ev.pid, ev.pc, ev.dir, ev.block,
-                         ordered_fb[seq]);
-            break;
-        }
-        conf.add(pred, ev.readers, n);
-        ++seq;
-    }
+    replayTrace(trace, table, mode,
+                [&](const trace::CoherenceEvent &ev, SharingBitmap pred) {
+                    conf.add(pred, ev.readers, n);
+                });
 
     // Per-trace throughput accounting: two clock reads and a few map
     // lookups per trace, nothing in the per-event hot loop.  Goes to

@@ -3,23 +3,11 @@
  * Evaluator: runs a prediction scheme over coherence traces under one
  * of the paper's three update mechanisms (section 3.4).
  *
- *  - direct:    at each event, the invalidated reader set (the dying
- *               version's true readers) updates the *current* writer's
- *               entry, then the prediction is made.  A heuristic when
- *               writers alternate: a writer may learn someone else's
- *               history.
- *  - forwarded: the invalidated reader set updates the entry of the
- *               writer that produced the dying version (requires
- *               last-writer info), then the current writer predicts.
- *  - ordered:   the oracle ordering: each prediction is immediately
- *               followed by its own eventual outcome updating its
- *               entry, so every later prediction through that entry
- *               sees perfectly ordered history.  Implementable only
- *               via two passes over a trace (which is how the paper —
- *               and this evaluator — simulates it).
- *
- * For pure address-indexed schemes with full-width fields all three
- * mechanisms coincide; the property tests assert this.
+ * The mechanisms themselves (direct, forwarded, ordered) are defined
+ * once, in predict/step.hh, for every consumer; this evaluator is the
+ * reference replay of that definition over a PredictorTable and the
+ * oracle the batched sweep kernel and the serve sessions are tested
+ * against.
  */
 
 #ifndef CCP_PREDICT_EVALUATOR_HH
@@ -29,20 +17,11 @@
 #include <vector>
 
 #include "predict/metrics.hh"
+#include "predict/step.hh"
 #include "predict/table.hh"
 #include "trace/trace.hh"
 
 namespace ccp::predict {
-
-/** The update-mechanism axis of the taxonomy. */
-enum class UpdateMode : std::uint8_t
-{
-    Direct,
-    Forwarded,
-    Ordered,
-};
-
-const char *updateModeName(UpdateMode mode);
 
 /** A complete scheme: indexing + function family + history depth
  *  (+ the perceptron family's extra dimensions, defaulted and inert
@@ -87,16 +66,6 @@ struct SuiteResult
     double avgPvp() const;
     double avgPrevalence() const;
 };
-
-/**
- * The feedback bitmap each event's entry receives under ordered
- * update: the readers its version's death will invalidate (identical
- * in content to forwarded update's feedback, but perfectly ordered).
- * Versions still live at the end of the trace feed back their full
- * reader set.
- */
-std::vector<SharingBitmap>
-orderedFeedback(const trace::SharingTrace &trace);
 
 /**
  * Evaluate a scheme over one trace using a caller-provided table

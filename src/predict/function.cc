@@ -39,37 +39,6 @@ WindowFunction::entryBits(unsigned n_nodes) const
     return std::uint64_t(depth_) * n_nodes;
 }
 
-SharingBitmap
-WindowFunction::predict(const std::uint64_t *state) const
-{
-    unsigned count = static_cast<unsigned>(state[0] & 0xffffffffu);
-    if (count == 0)
-        return SharingBitmap();
-
-    std::uint64_t acc = state[1];
-    if (kind_ == FunctionKind::Union) {
-        for (unsigned i = 1; i < count; ++i)
-            acc |= state[1 + i];
-    } else {
-        for (unsigned i = 1; i < count; ++i)
-            acc &= state[1 + i];
-    }
-    return SharingBitmap(acc);
-}
-
-void
-WindowFunction::update(std::uint64_t *state, SharingBitmap feedback) const
-{
-    unsigned count = static_cast<unsigned>(state[0] & 0xffffffffu);
-    unsigned pos = static_cast<unsigned>(state[0] >> 32);
-
-    state[1 + pos] = feedback.raw();
-    pos = (pos + 1) % depth_;
-    if (count < depth_)
-        ++count;
-    state[0] = (std::uint64_t(pos) << 32) | count;
-}
-
 PAsFunction::PAsFunction(unsigned depth, unsigned n_nodes)
     : depth_(depth), nNodes_(n_nodes)
 {
@@ -169,26 +138,6 @@ std::uint64_t
 OverlapLastFunction::entryBits(unsigned n_nodes) const
 {
     return 2ull * n_nodes; // two stored bitmaps
-}
-
-SharingBitmap
-OverlapLastFunction::predict(const std::uint64_t *state) const
-{
-    unsigned count = static_cast<unsigned>(state[0]);
-    if (count < 2)
-        return SharingBitmap();
-    SharingBitmap last(state[1]), prev(state[2]);
-    return last.intersects(prev) ? last : SharingBitmap();
-}
-
-void
-OverlapLastFunction::update(std::uint64_t *state,
-                            SharingBitmap feedback) const
-{
-    state[2] = state[1];
-    state[1] = feedback.raw();
-    if (state[0] < 2)
-        ++state[0];
 }
 
 PerceptronFunction::PerceptronFunction(unsigned depth,

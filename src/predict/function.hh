@@ -98,6 +98,71 @@ class PredictionFunction
 };
 
 /**
+ * @name Window and overlap-last state transitions
+ * The one definition of these families' per-entry state, shared by
+ * WindowFunction, OverlapLastFunction and the batched sweep kernel.
+ * @{
+ */
+
+/** Window predict: union (@p is_union) or intersection of the stored
+ *  bitmaps of a @p depth-slot ring; empty until the first update.
+ *  Word 0 packs (next-slot << 32 | count); words 1..depth are the
+ *  bitmaps.  Reads at most @p depth slots, so a literal depth folds
+ *  the loops away. */
+inline std::uint64_t
+windowPredict(const std::uint64_t *state, unsigned depth, bool is_union)
+{
+    const unsigned count = static_cast<unsigned>(state[0] & 0xffffffffu);
+    const unsigned live = count < depth ? count : depth;
+    std::uint64_t acc = count ? state[1] : 0;
+    if (is_union) {
+        for (unsigned i = 1; i < live; ++i)
+            acc |= state[1 + i];
+    } else {
+        for (unsigned i = 1; i < live; ++i)
+            acc &= state[1 + i];
+    }
+    return acc;
+}
+
+/** Window update: store @p feedback in the next slot of a
+ *  @p depth-slot ring. */
+inline void
+windowUpdate(std::uint64_t *state, unsigned depth, std::uint64_t feedback)
+{
+    unsigned count = static_cast<unsigned>(state[0] & 0xffffffffu);
+    unsigned pos = static_cast<unsigned>(state[0] >> 32);
+    state[1 + pos] = feedback;
+    pos = (pos + 1) % depth;
+    if (count < depth)
+        ++count;
+    state[0] = (std::uint64_t(pos) << 32) | count;
+}
+
+/** Overlap-last predict: the last bitmap if it overlaps the one
+ *  before it, else empty.  Word 0 is a valid count (saturating at 2);
+ *  words 1..2 are the last and previous bitmaps. */
+inline std::uint64_t
+overlapLastPredict(const std::uint64_t *state)
+{
+    if (static_cast<unsigned>(state[0]) < 2)
+        return 0;
+    return (state[1] & state[2]) ? state[1] : 0;
+}
+
+/** Overlap-last update: shift @p feedback in as the last bitmap. */
+inline void
+overlapLastUpdate(std::uint64_t *state, std::uint64_t feedback)
+{
+    state[2] = state[1];
+    state[1] = feedback;
+    if (state[0] < 2)
+        ++state[0];
+}
+
+/** @} */
+
+/**
  * Union/intersection over a window of the last `depth` feedback
  * bitmaps (depth 1 == last prediction).
  *
@@ -114,9 +179,16 @@ class WindowFunction : public PredictionFunction
     unsigned depth() const override { return depth_; }
     std::size_t entryWords() const override { return depth_ + 1; }
     std::uint64_t entryBits(unsigned n_nodes) const override;
-    SharingBitmap predict(const std::uint64_t *state) const override;
+    SharingBitmap predict(const std::uint64_t *state) const override
+    {
+        return SharingBitmap(
+            windowPredict(state, depth_, kind_ == FunctionKind::Union));
+    }
     void update(std::uint64_t *state,
-                SharingBitmap feedback) const override;
+                SharingBitmap feedback) const override
+    {
+        windowUpdate(state, depth_, feedback.raw());
+    }
 
   private:
     FunctionKind kind_;
@@ -184,9 +256,15 @@ class OverlapLastFunction : public PredictionFunction
     unsigned depth() const override { return 1; }
     std::size_t entryWords() const override { return 3; }
     std::uint64_t entryBits(unsigned n_nodes) const override;
-    SharingBitmap predict(const std::uint64_t *state) const override;
+    SharingBitmap predict(const std::uint64_t *state) const override
+    {
+        return SharingBitmap(overlapLastPredict(state));
+    }
     void update(std::uint64_t *state,
-                SharingBitmap feedback) const override;
+                SharingBitmap feedback) const override
+    {
+        overlapLastUpdate(state, feedback.raw());
+    }
 };
 
 /** Tunable dimensions of the perceptron family (all swept). */

@@ -44,36 +44,19 @@ Session::Session(std::uint64_t id, const SessionConfig &config,
 SharingBitmap
 Session::onEvent(const trace::CoherenceEvent &ev)
 {
-    // Mirror predict::evaluateTrace exactly — the offline evaluator
-    // is the oracle the serve tests compare byte-for-byte against.
-    SharingBitmap pred;
-    switch (mode_) {
-      case predict::UpdateMode::Direct:
-        if (ev.hasPrevWriter)
-            table_.update(ev.pid, ev.pc, ev.dir, ev.block,
-                          ev.invalidated);
-        pred = table_.predict(ev.pid, ev.pc, ev.dir, ev.block);
-        break;
+    const SharingBitmap pred = predict::stepEvent(table_, ev, mode_);
 
-      case predict::UpdateMode::Forwarded:
-        if (ev.hasPrevWriter)
-            table_.update(ev.prevWriterPid, ev.prevWriterPc, ev.dir,
-                          ev.block, ev.invalidated);
-        pred = table_.predict(ev.pid, ev.pc, ev.dir, ev.block);
-        break;
-
-      case predict::UpdateMode::Ordered:
-        ccp_panic("ordered session cannot exist");
-    }
-    total_.add(pred, ev.readers, nNodes_);
+    // Score once (Confusion::add masks to the machine; the server
+    // does not check submitted bitmaps against nNodes) and derive the
+    // window cell from the same counts as the cumulative total.
+    predict::Confusion scored;
+    scored.add(pred, ev.readers, nNodes_);
+    total_.merge(scored);
+    const WindowCell cell{static_cast<std::uint8_t>(scored.tp),
+                          static_cast<std::uint8_t>(scored.fp),
+                          static_cast<std::uint8_t>(scored.fn)};
     ++events_;
 
-    // Producers never set bits at or above nNodes, so the popcounts
-    // equal what the per-bit Confusion::add loop counts.
-    WindowCell cell;
-    cell.tp = static_cast<std::uint8_t>((pred & ev.readers).popcount());
-    cell.fp = static_cast<std::uint8_t>(pred.minus(ev.readers).popcount());
-    cell.fn = static_cast<std::uint8_t>(ev.readers.minus(pred).popcount());
     if (winCount_ == window_.size()) {
         const WindowCell &old = window_[winPos_];
         winTp_ -= old.tp;

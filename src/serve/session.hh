@@ -4,9 +4,9 @@
  *
  * A session owns a PredictorTable built from one SchemeSpec and
  * consumes that client's coherence event stream *online*: for each
- * event it folds in the feedback the event carries (exactly the
- * direct/forwarded update semantics of predict::evaluateTrace — the
- * byte-identical offline oracle), emits the prediction for the event,
+ * event it folds in the feedback the event carries (the shared
+ * predict::stepEvent, which the offline evaluator — its byte-identical
+ * oracle — replays too), emits the prediction for the event,
  * and scores it into both a cumulative Confusion and a sliding-window
  * Confusion over the last N events, so clients see current PVP /
  * sensitivity rather than a lifetime average that a phase change

@@ -22,72 +22,6 @@ using predict::UpdateMode;
 namespace {
 
 /**
- * The window-function state transitions, inlined (bit-identical to
- * WindowFunction in predict/function.cc: word 0 packs (count,
- * next-slot), words 1..depth are the stored bitmaps).
- */
-inline std::uint64_t
-windowPredict(const std::uint64_t *st, bool is_union)
-{
-    unsigned count = static_cast<unsigned>(st[0] & 0xffffffffu);
-    if (count == 0)
-        return 0;
-    std::uint64_t acc = st[1];
-    if (is_union) {
-        for (unsigned i = 1; i < count; ++i)
-            acc |= st[1 + i];
-    } else {
-        for (unsigned i = 1; i < count; ++i)
-            acc &= st[1 + i];
-    }
-    return acc;
-}
-
-inline void
-windowUpdate(std::uint64_t *st, unsigned depth, std::uint64_t fb)
-{
-    unsigned count = static_cast<unsigned>(st[0] & 0xffffffffu);
-    unsigned pos = static_cast<unsigned>(st[0] >> 32);
-    st[1 + pos] = fb;
-    pos = (pos + 1) % depth;
-    if (count < depth)
-        ++count;
-    st[0] = (std::uint64_t(pos) << 32) | count;
-}
-
-/** Depth-1 window ("last"): the modular arithmetic collapses. */
-inline std::uint64_t
-lastPredict(const std::uint64_t *st)
-{
-    return (st[0] & 0xffffffffu) ? st[1] : 0;
-}
-
-inline void
-lastUpdate(std::uint64_t *st, std::uint64_t fb)
-{
-    st[1] = fb;
-    st[0] = 1; // count 1, next slot 0 — what windowUpdate produces
-}
-
-/** Overlap-last, inlined from OverlapLastFunction. */
-inline std::uint64_t
-overlapPredict(const std::uint64_t *st)
-{
-    if (static_cast<unsigned>(st[0]) < 2)
-        return 0;
-    return (st[1] & st[2]) ? st[1] : 0;
-}
-
-inline void
-overlapUpdate(std::uint64_t *st, std::uint64_t fb)
-{
-    st[2] = st[1];
-    st[1] = fb;
-    if (st[0] < 2)
-        ++st[0];
-}
-
-/**
  * Validated packed-state size of one table: 2^bits entries x
  * @p entry_words words.  An adversarial sweep config can push
  * indexBits high enough that the shift (or the multiply) wraps
@@ -127,31 +61,27 @@ BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
         Compiled c;
         c.plan = predict::makeIndexPlan(s.index, nodeBits_);
         c.depth = s.depth;
+        std::shared_ptr<const predict::PredictionFunction> fn =
+            predict::makeFunction(s.kind, s.depth, n_nodes, s.perc);
+        c.entryWords = fn->entryWords();
         switch (s.kind) {
           case FunctionKind::Union:
           case FunctionKind::Inter:
-            ccp_assert(s.depth >= 1 && s.depth <= 32,
-                       "bad window depth ", s.depth);
             c.op = s.depth == 1 ? Op::Last
                    : s.kind == FunctionKind::Union ? Op::Union
                                                    : Op::Inter;
-            c.entryWords = s.depth + 1;
             break;
           case FunctionKind::OverlapLast:
             c.op = Op::OverlapLast;
-            c.entryWords = 3;
             break;
           case FunctionKind::PAs:
             c.op = Op::PAs;
-            c.pas = std::make_shared<const PAsFunction>(s.depth,
-                                                        n_nodes);
-            c.entryWords = c.pas->entryWords();
+            c.pas = std::static_pointer_cast<const PAsFunction>(fn);
             break;
           case FunctionKind::Perceptron:
             c.op = Op::Perceptron;
-            c.perc = std::make_shared<const PerceptronFunction>(
-                s.depth, n_nodes, s.perc);
-            c.entryWords = c.perc->entryWords();
+            c.perc =
+                std::static_pointer_cast<const PerceptronFunction>(fn);
             break;
         }
         c.base = total_words;
@@ -167,60 +97,60 @@ BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
 template <UpdateMode mode>
 inline void
 BatchEvaluator::stepScheme(Compiled &c, std::uint64_t *entry,
-                           std::uint64_t *upd, bool has_prev,
-                           std::uint64_t inval,
-                           std::uint64_t fb_ordered, std::uint64_t mask,
+                           std::uint64_t *upd,
+                           const trace::CoherenceEvent &ev,
+                           SharingBitmap fb_ordered, std::uint64_t mask,
                            std::uint64_t actual,
                            std::uint64_t actual_pop)
 {
-    std::uint64_t pred = 0;
-    switch (c.op) {
-      case Op::Last:
-        if (mode != UpdateMode::Ordered && has_prev)
-            lastUpdate(upd, inval);
-        pred = lastPredict(entry);
-        if (mode == UpdateMode::Ordered)
-            lastUpdate(entry, fb_ordered);
-        break;
-      case Op::Union:
-      case Op::Inter:
-        if (mode != UpdateMode::Ordered && has_prev)
-            windowUpdate(upd, c.depth, inval);
-        pred = windowPredict(entry, c.op == Op::Union);
-        if (mode == UpdateMode::Ordered)
-            windowUpdate(entry, c.depth, fb_ordered);
-        break;
-      case Op::OverlapLast:
-        if (mode != UpdateMode::Ordered && has_prev)
-            overlapUpdate(upd, inval);
-        pred = overlapPredict(entry);
-        if (mode == UpdateMode::Ordered)
-            overlapUpdate(entry, fb_ordered);
-        break;
-      case Op::PAs:
-        // Qualified calls: no virtual dispatch in the loop.
-        if (mode != UpdateMode::Ordered && has_prev)
-            c.pas->PAsFunction::update(upd, SharingBitmap(inval));
-        pred = c.pas->PAsFunction::predict(entry).raw();
-        if (mode == UpdateMode::Ordered)
-            c.pas->PAsFunction::update(entry,
-                                       SharingBitmap(fb_ordered));
-        break;
-      case Op::Perceptron:
-        if (mode != UpdateMode::Ordered && has_prev)
-            c.perc->PerceptronFunction::update(upd,
-                                               SharingBitmap(inval));
-        pred = c.perc->PerceptronFunction::predict(entry).raw();
-        if (mode == UpdateMode::Ordered)
-            c.perc->PerceptronFunction::update(
-                entry, SharingBitmap(fb_ordered));
-        break;
-    }
+    // The opcode picks the family's transitions; the shared rule
+    // orders them.  Op::Last is the window code at a literal depth of
+    // 1, so the compiler folds its ring loop and arithmetic away.
+    const auto predict_op = [&]() -> std::uint64_t {
+        switch (c.op) {
+          case Op::Last:
+            return predict::windowPredict(entry, 1, true);
+          case Op::Union:
+            return predict::windowPredict(entry, c.depth, true);
+          case Op::Inter:
+            return predict::windowPredict(entry, c.depth, false);
+          case Op::OverlapLast:
+            return predict::overlapLastPredict(entry);
+          case Op::PAs:
+            // Qualified calls: no virtual dispatch in the loop.
+            return c.pas->PAsFunction::predict(entry).raw();
+          case Op::Perceptron:
+            return c.perc->PerceptronFunction::predict(entry).raw();
+        }
+        return 0;
+    };
+    const auto update_op = [&](SharingBitmap fb) {
+        switch (c.op) {
+          case Op::Last:
+            predict::windowUpdate(upd, 1, fb.raw());
+            break;
+          case Op::Union:
+          case Op::Inter:
+            predict::windowUpdate(upd, c.depth, fb.raw());
+            break;
+          case Op::OverlapLast:
+            predict::overlapLastUpdate(upd, fb.raw());
+            break;
+          case Op::PAs:
+            c.pas->PAsFunction::update(upd, fb);
+            break;
+          case Op::Perceptron:
+            c.perc->PerceptronFunction::update(upd, fb);
+            break;
+        }
+    };
+    const std::uint64_t pred =
+        predict::stepWith(ev, mode, fb_ordered, predict_op, update_op) &
+        mask;
 
     // Word-wise confusion: two popcounts, no per-bit work.
     // |pred & ~actual| = |pred| - tp and |actual & ~pred| =
     // |actual| - tp, with |actual| hoisted per event.
-    pred &= mask;
     const std::uint64_t tp = std::popcount(pred & actual);
     c.tp += tp;
     c.fp += std::popcount(pred) - tp;
@@ -241,27 +171,29 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
     std::uint64_t **const upd_ptr = updScratch_.data();
 
     EventSeq seq = 0;
-    for (const auto &ev : trace.events()) {
-        // Decode once per event, not once per (event, scheme).
+    for (const trace::CoherenceEvent &ev_ref : trace.events()) {
+        // Decode once per event, not once per (event, scheme); the
+        // local copy cannot alias the state the schemes write.
+        const trace::CoherenceEvent ev = ev_ref;
         const std::uint64_t pid = ev.pid;
         const std::uint64_t pcw = ev.pc >> 2;
         const std::uint64_t dir = ev.dir;
         const std::uint64_t block = ev.block;
-        const std::uint64_t inval = ev.invalidated.raw();
         const std::uint64_t actual = ev.readers.raw() & mask;
         const std::uint64_t actual_pop = std::popcount(actual);
-        const bool has_prev = ev.hasPrevWriter;
-        const std::uint64_t prev_pid = ev.prevWriterPid;
-        const std::uint64_t prev_pcw = ev.prevWriterPc >> 2;
-        const std::uint64_t fb_ordered =
-            mode == UpdateMode::Ordered ? ordered_fb[seq].raw() : 0;
+        const bool learns_first = predict::learnsFirst(ev, mode);
+        const predict::Learner who = predict::learner(ev, mode);
+        const std::uint64_t learn_pid = who.pid;
+        const std::uint64_t learn_pcw = who.pc >> 2;
+        const SharingBitmap fb_ordered =
+            mode == UpdateMode::Ordered ? ordered_fb[seq] : SharingBitmap();
 
         // Address pass: resolve (and prefetch) every scheme's entry
         // before any is touched, so the per-scheme cache misses
-        // overlap instead of serializing behind each other.  The
-        // update entry is the current writer's for direct and
-        // ordered, the dying version's writer's for forwarded (same
-        // dir/block, different identity fields).
+        // overlap instead of serializing behind each other.  When the
+        // learner is not the current writer and the event trains it,
+        // its entry (same dir/block, different identity fields) is
+        // resolved too.
         for (std::size_t i = 0; i < n_schemes; ++i) {
             const Compiled &c = compiled[i];
             std::uint64_t *const slice = state + c.base;
@@ -270,13 +202,13 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
                 c.plan.fromWords(pid, pcw, dir, block) * c.entryWords;
             ent[i] = entry;
             __builtin_prefetch(entry, 1);
-            if (mode == UpdateMode::Forwarded) {
-                std::uint64_t *upd =
-                    has_prev ? slice + c.plan.fromWords(prev_pid,
-                                                        prev_pcw, dir,
-                                                        block) *
-                                           c.entryWords
-                             : entry;
+            if (predict::learnsFromPrevWriter(mode)) {
+                std::uint64_t *const upd =
+                    learns_first
+                        ? slice + c.plan.fromWords(learn_pid, learn_pcw,
+                                                   dir, block) *
+                                      c.entryWords
+                        : entry;
                 upd_ptr[i] = upd;
                 __builtin_prefetch(upd, 1);
             }
@@ -286,9 +218,9 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
             Compiled &c = compiled[i];
             std::uint64_t *const entry = ent[i];
             std::uint64_t *const upd =
-                mode == UpdateMode::Forwarded ? upd_ptr[i] : entry;
-            stepScheme<mode>(c, entry, upd, has_prev, inval,
-                             fb_ordered, mask, actual, actual_pop);
+                predict::learnsFromPrevWriter(mode) ? upd_ptr[i] : entry;
+            stepScheme<mode>(c, entry, upd, ev, fb_ordered, mask, actual,
+                             actual_pop);
         }
         ++seq;
     }
@@ -369,14 +301,9 @@ std::size_t
 schemeStateWords(const SchemeSpec &s, unsigned n_nodes)
 {
     const unsigned node_bits = predict::nodeBitsFor(n_nodes);
-    std::size_t entry_words =
-        s.kind == FunctionKind::PAs
-            ? PAsFunction(s.depth, n_nodes).entryWords()
-        : s.kind == FunctionKind::Perceptron
-            ? PerceptronFunction(s.depth, n_nodes, s.perc)
-                  .entryWords()
-        : s.kind == FunctionKind::OverlapLast ? 3
-                                              : s.depth + 1;
+    const std::size_t entry_words =
+        predict::makeFunction(s.kind, s.depth, n_nodes, s.perc)
+            ->entryWords();
     return checkedSchemeStateWords(s.index.indexBits(node_bits),
                                    entry_words);
 }

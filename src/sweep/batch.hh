@@ -17,9 +17,10 @@
  *  - Index extraction is compiled once per scheme into a
  *    predict::IndexPlan — a fixed branch-free mask/shift pipeline.
  *  - Prediction functions are dispatched by a flat opcode (no virtual
- *    calls for the window families that dominate the design space;
- *    the window and overlap-last state transitions are inlined here
- *    with bit-identical semantics to predict/function.cc).
+ *    calls for the window families that dominate the design space:
+ *    the kernel calls the shared inline window and overlap-last
+ *    transitions of predict/function.hh), and the update mode's order
+ *    and feedback come from the shared rule in predict/step.hh.
  *  - Confusion accumulation is word-wise: three popcounts on the
  *    64-bit sharing bitmaps per (event, scheme) with true negatives
  *    recovered by conservation at the end of the trace, instead of
@@ -123,9 +124,9 @@ class BatchEvaluator
     /** One scheme's update/predict/tally for one event. */
     template <predict::UpdateMode mode>
     static void stepScheme(Compiled &c, std::uint64_t *entry,
-                           std::uint64_t *upd, bool has_prev,
-                           std::uint64_t inval,
-                           std::uint64_t fb_ordered, std::uint64_t mask,
+                           std::uint64_t *upd,
+                           const trace::CoherenceEvent &ev,
+                           SharingBitmap fb_ordered, std::uint64_t mask,
                            std::uint64_t actual,
                            std::uint64_t actual_pop);
 

@@ -159,19 +159,20 @@ TEST(Forwarding, WastedForwardsTrackFalsePositives)
     EXPECT_DOUBLE_EQ(res.pvp(), 0.0);
 }
 
-TEST(Forwarding, MetricsAgreeWithEvaluator)
+/**
+ * A trace on which the overlay and the evaluator must agree: one
+ * fixed writer per block, never among the readers, so the overlay's
+ * writer-bit exclusion never fires; the pc varies per event.
+ */
+SharingTrace
+agreementTrace()
 {
-    // The overlay's pvp/sensitivity must equal the evaluator's for
-    // the same scheme and mode (modulo the writer-bit exclusion,
-    // which never fires here because writers don't self-read).
     Rng rng(3);
     SharingTrace tr("agree", 16);
     std::unordered_map<Addr, CoherenceEvent> last;
     for (int i = 0; i < 2000; ++i) {
         CoherenceEvent ev;
         ev.block = rng.below(32);
-        // One fixed writer per block, never among the readers, so the
-        // overlay's writer-bit exclusion never fires.
         ev.pid = static_cast<NodeId>(ev.block % 16);
         ev.pc = 0x400 + 4 * rng.below(8);
         ev.dir = static_cast<NodeId>(rng.below(16));
@@ -188,18 +189,50 @@ TEST(Forwarding, MetricsAgreeWithEvaluator)
         last[ev.block] = ev;
         tr.append(ev);
     }
+    return tr;
+}
 
+/** The overlay's pvp/sensitivity equal the evaluator's for @p sch in
+ *  every update mode. */
+void
+expectAgreementInEveryMode(const SharingTrace &tr, const SchemeSpec &sch)
+{
+    for (UpdateMode mode : {UpdateMode::Direct, UpdateMode::Forwarded,
+                            UpdateMode::Ordered}) {
+        SCOPED_TRACE(predict::updateModeName(mode));
+        auto conf = predict::evaluateTrace(tr, sch, mode);
+        auto res = simulateForwarding(tr, sch, mode);
+
+        EXPECT_EQ(res.usefulForwards, conf.tp);
+        EXPECT_EQ(res.wastedForwards, conf.fp);
+        EXPECT_EQ(res.missedReaders, conf.fn);
+        EXPECT_DOUBLE_EQ(res.pvp(), conf.pvp());
+        EXPECT_DOUBLE_EQ(res.sensitivity(), conf.sensitivity());
+    }
+}
+
+TEST(Forwarding, MetricsAgreeWithEvaluator)
+{
+    // Address-only: all three modes coincide.
     IndexSpec idx;
     idx.addrBits = 5;
-    SchemeSpec sch{idx, FunctionKind::Union, 2};
-    auto conf = predict::evaluateTrace(tr, sch, UpdateMode::Direct);
-    auto res = simulateForwarding(tr, sch, UpdateMode::Direct);
+    expectAgreementInEveryMode(agreementTrace(),
+                               SchemeSpec{idx, FunctionKind::Union, 2});
+}
 
-    EXPECT_EQ(res.usefulForwards, conf.tp);
-    EXPECT_EQ(res.wastedForwards, conf.fp);
-    EXPECT_EQ(res.missedReaders, conf.fn);
-    EXPECT_DOUBLE_EQ(res.pvp(), conf.pvp());
-    EXPECT_DOUBLE_EQ(res.sensitivity(), conf.sensitivity());
+TEST(Forwarding, MetricsAgreeWithEvaluatorWhereModesDiffer)
+{
+    // pid+pc3: forwarded update trains the previous writer's pc, so
+    // a mis-wired mode shows.  Keyed by pid, an entry still never
+    // learns its own writer's bit, so the exclusion stays silent.
+    IndexSpec idx;
+    idx.usePid = true;
+    idx.pcBits = 3;
+    const SchemeSpec sch{idx, FunctionKind::Union, 2};
+    const SharingTrace tr = agreementTrace();
+    ASSERT_NE(predict::evaluateTrace(tr, sch, UpdateMode::Direct),
+              predict::evaluateTrace(tr, sch, UpdateMode::Forwarded));
+    expectAgreementInEveryMode(tr, sch);
 }
 
 TEST(Forwarding, TrafficScalesWithForwards)

@@ -212,6 +212,28 @@ TEST(Session, MatchesEvaluateTraceForwarded)
     EXPECT_TRUE(sameConfusion(session.stats().total, oracle));
 }
 
+TEST(Session, OutOfRangeBitsScoreTheSameInWindowAndTotal)
+{
+    // The server does not check submitted bitmaps against nNodes, so
+    // bits at or above it reach the session both as readers and (via
+    // the table) as predictions.  Both counts must ignore them alike.
+    const SessionConfig cfg = makeConfig("last(addr4)1");
+    Session session(0, cfg, kNodes);
+    trace::CoherenceEvent ev;
+    ev.block = 3;
+    ev.readers = SharingBitmap(0x3ull | 1ull << kNodes | 1ull << 40);
+    session.onEvent(ev);
+    ev.hasPrevWriter = true;
+    ev.invalidated = ev.readers;
+    session.onEvent(ev);
+    session.onEvent(ev);
+
+    const SessionStats s = session.stats();
+    ASSERT_EQ(s.events, 3u);
+    EXPECT_EQ(s.total.tp, 4u);
+    EXPECT_TRUE(sameConfusion(s.window, s.total));
+}
+
 TEST(Session, SlidingWindowCoversExactlyTheLastNEvents)
 {
     const auto tr = makeTrace("window", 7);
