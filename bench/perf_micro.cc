@@ -11,7 +11,10 @@
  * schemes x the 200k-event synthetic trace), writing the measured
  * rates to BENCH_sweep.json (override with CCP_BENCH_JSON) and
  * exiting non-zero if the batched kernel is slower than the
- * reference.  Pass --benchmark_filter='^$' to run only the gate.
+ * reference.  Two learned-family legs follow, 12 PAs and 12
+ * perceptron schemes on the same trace, each cross-checked against
+ * the reference and recorded for bench_compare's per-family gate.
+ * Pass --benchmark_filter='^$' to run only the gate.
  */
 
 #include <benchmark/benchmark.h>
@@ -157,9 +160,25 @@ sweepFixture()
     return schemes;
 }
 
-/** The learned-family fixture: 12 perceptron schemes across the same
- *  index shapes, hashed and unhashed, with and without the Bloom
- *  negative filter. */
+/** The PAs fixture: 12 schemes across the same index shapes at the
+ *  paper grid's depths 1, 2 and 4. */
+std::vector<predict::SchemeSpec>
+pasFixture()
+{
+    const char *names[] = {
+        "pas(pc8)1",       "pas(add8)1",         "pas(pid+add6)1",
+        "pas(dir+add8)1",  "pas(pc8)2",          "pas(pid+pc8)2",
+        "pas(pc4+add6)2",  "pas(pid+pc4+add6)2", "pas(add8)4",
+        "pas(pid+add8)4",  "pas(dir+add6)4",     "pas(pc4+add6)4",
+    };
+    std::vector<predict::SchemeSpec> schemes;
+    for (const char *n : names)
+        schemes.push_back(schemeOf(n));
+    return schemes;
+}
+
+/** The perceptron fixture: 12 schemes across the same index shapes,
+ *  hashed and unhashed, with and without the Bloom negative filter. */
 std::vector<predict::SchemeSpec>
 perceptronFixture()
 {
@@ -498,51 +517,50 @@ runSweepGate()
     record("batched", 1, batched_sec);
     record("batched_parallel", mt_threads, mt_sec);
 
-    // Perceptron sweep throughput: the learned family through the
-    // batched kernel, cross-checked against the reference and
-    // *recorded* (bench_compare only gates metrics present in the
-    // committed baseline, so this rides along ungated until a
-    // baseline containing it lands).
-    {
-        auto perc_schemes = perceptronFixture();
-        std::vector<predict::SuiteResult> perc_ref, perc_batched;
-        double perc_ref_sec = bestOf(reps, [&] {
-            perc_ref =
-                sweep::ParallelSweep(1, sweep::SweepKernel::Reference)
-                    .evaluate(suite, perc_schemes, mode);
+    // Learned-family sweep throughput through the batched kernel,
+    // cross-checked against the reference.  bench_compare gates each
+    // family's rate over the window fixture's batched rate, a ratio
+    // that holds across hosts.
+    auto learned = [&](const char *key,
+                       const std::vector<predict::SchemeSpec> &fam) {
+        std::vector<predict::SuiteResult> ref, batched;
+        const double ref_sec = bestOf(reps, [&] {
+            ref = sweep::ParallelSweep(1, sweep::SweepKernel::Reference)
+                      .evaluate(suite, fam, mode);
         });
-        double perc_sec = bestOf(reps, [&] {
-            perc_batched =
+        const double sec = bestOf(reps, [&] {
+            batched =
                 sweep::ParallelSweep(1, sweep::SweepKernel::Batched)
-                    .evaluate(suite, perc_schemes, mode);
+                    .evaluate(suite, fam, mode);
         });
-        for (std::size_t i = 0; i < perc_schemes.size(); ++i) {
-            if (!(perc_ref[i].pooled == perc_batched[i].pooled)) {
-                std::fprintf(
-                    stderr,
-                    "[gate] FAIL: kernels disagree on %s\n",
-                    sweep::formatScheme(perc_schemes[i]).c_str());
-                return 1;
+        for (std::size_t i = 0; i < fam.size(); ++i) {
+            if (!(ref[i].pooled == batched[i].pooled)) {
+                std::fprintf(stderr,
+                             "[gate] FAIL: kernels disagree on %s\n",
+                             sweep::formatScheme(fam[i]).c_str());
+                return false;
             }
         }
-        const double perc_events = double(tr.events().size()) *
-                                   double(perc_schemes.size());
+        const double events =
+            double(tr.events().size()) * double(fam.size());
         obs::Json j = obs::Json::object();
         j["threads"] = obs::Json(1u);
-        j["schemes"] =
-            obs::Json(std::uint64_t(perc_schemes.size()));
-        j["seconds"] = obs::Json(perc_sec);
-        j["scheme_events_per_sec"] =
-            obs::Json(perc_events / perc_sec);
-        j["reference_seconds"] = obs::Json(perc_ref_sec);
-        doc["perceptron"] = std::move(j);
+        j["schemes"] = obs::Json(std::uint64_t(fam.size()));
+        j["seconds"] = obs::Json(sec);
+        j["scheme_events_per_sec"] = obs::Json(events / sec);
+        j["reference_seconds"] = obs::Json(ref_sec);
+        doc[key] = std::move(j);
         std::fprintf(stderr,
-                     "[gate] perceptron fixture: %zu schemes, "
-                     "batched %.3fs (%.1fM scheme-events/s, "
-                     "recorded)\n",
-                     perc_schemes.size(), perc_sec,
-                     perc_events / perc_sec / 1e6);
-    }
+                     "[gate] %s fixture: %zu schemes, batched %.3fs "
+                     "(%.1fM scheme-events/s, %.3f of window "
+                     "batched)\n",
+                     key, fam.size(), sec, events / sec / 1e6,
+                     events / sec / (scheme_events / batched_sec));
+        return true;
+    };
+    if (!learned("pas", pasFixture()) ||
+        !learned("perceptron", perceptronFixture()))
+        return 1;
     doc["speedup"] = obs::Json(speedup);
     obs::Json tracing = obs::Json::object();
     tracing["disabled_seconds"] = obs::Json(batched_sec);

@@ -24,7 +24,8 @@ paperSpace()
     // The paper explores implementations up to 2^24 bits.  PAs
     // schemes are swept on a coarser grid (they are uniformly
     // dominated — Section 5.4.1 finds no two-level scheme in any
-    // top-10 — and cost ~20x more to simulate); set CCP_FULL_PAS=1
+    // top-10 — and cost ~3-5x more per scheme to simulate than a
+    // window scheme, more at depth 8); set CCP_FULL_PAS=1
     // to widen.
     if (std::getenv("CCP_FULL_PAS")) {
         space.pasDepths = {1, 2, 4};
@@ -33,8 +34,8 @@ paperSpace()
     }
     // The learned family rides the same sweep so perceptron schemes
     // rank head-to-head against the paper's; the default grid is kept
-    // coarse for the same cost reason as PAs (the per-node training
-    // loop is the expensive part).  CCP_FULL_PERC=1 widens every
+    // coarse for the same cost reason as PAs (its per-node dot
+    // products are the expensive part).  CCP_FULL_PERC=1 widens every
     // perceptron dimension.
     if (std::getenv("CCP_FULL_PERC")) {
         space.percDepths = {1, 2, 4, 8};

@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -153,6 +154,7 @@ runSubprocess(const SubprocessSpec &spec)
     }
 
     const Clock::time_point start = Clock::now();
+    const pid_t parent = ::getpid();
     const pid_t pid = ::fork();
     if (pid < 0) {
         res.spawnError = std::string("fork: ") + std::strerror(errno);
@@ -167,6 +169,10 @@ runSubprocess(const SubprocessSpec &spec)
 
     if (pid == 0) {
         // Child: only async-signal-safe calls from here to execve.
+        ::setpgid(0, 0);
+        ::prctl(PR_SET_PDEATHSIG, SIGTERM);
+        if (::getppid() != parent)
+            ::_exit(127); // the supervisor died before prctl
         while (::dup2(err_pipe[1], 2) < 0 && errno == EINTR) {
         }
         if (out_fd >= 0)
@@ -178,7 +184,9 @@ runSubprocess(const SubprocessSpec &spec)
         ::_exit(127);
     }
 
-    // Parent.
+    // Parent.  Set the group here too, so it exists before any
+    // deadline signal whichever side runs first.
+    ::setpgid(pid, pid);
     ::close(err_pipe[1]);
     ::close(status_pipe[1]);
     if (out_fd >= 0)
@@ -236,17 +244,22 @@ runSubprocess(const SubprocessSpec &spec)
 
         if (spec.deadlineSec > 0 && !sent_term &&
             secondsSince(armed_at) > spec.deadlineSec) {
-            ::kill(pid, SIGTERM);
+            ::kill(-pid, SIGTERM);
             sent_term = true;
             timed_out = true;
             term_at = Clock::now();
         }
         if (sent_term && !sent_kill &&
             secondsSince(term_at) > spec.termGraceSec) {
-            ::kill(pid, SIGKILL);
+            ::kill(-pid, SIGKILL);
             sent_kill = true;
         }
     }
+
+    // A descendant that shrugged off the SIGTERM the child died of
+    // must not outlive the deadline either.
+    if (timed_out)
+        ::kill(-pid, SIGKILL);
 
     // Drain whatever stderr remains buffered in the pipe.  Non-blocking
     // on purpose: an orphaned grandchild (a killed shell's `sleep`, a

@@ -21,12 +21,21 @@
  *
  * The fork/exec gap is async-signal-safe: argv and the environment
  * are flattened to char* arrays *before* fork(), so the child calls
- * only dup2/open/execve/_exit — no allocation, no locks — which
+ * only setpgid/prctl/dup2/execve/_exit — no allocation, no locks — which
  * matters because the supervisor forks from ThreadPool workers and a
  * post-fork malloc in the child can deadlock on another thread's
  * heap lock.  exec failure is reported through a CLOEXEC status pipe
  * (the self-pipe trick), so "binary not found" is a structured
  * SpawnError, not a mystery exit 127.
+ *
+ * Each child leads its own process group, and the deadline signals
+ * the whole group, so a shell's `sleep` or a worker's helper dies
+ * with it instead of outliving the deadline (and holding the stderr
+ * pipe).  Once the deadline fired, whatever is left of the group is
+ * SIGKILLed after the child is reaped.  Leaving the supervisor's
+ * group also leaves its terminal's Ctrl-C, so the child asks for
+ * SIGTERM when the supervisor dies (PR_SET_PDEATHSIG): a killed
+ * supervisor still drains its workers.
  *
  * Liveness is the caller's to define: @ref SubprocessSpec::progressProbe
  * is polled between waits, and any poll that returns true re-arms the

@@ -1,5 +1,7 @@
 #include "predict/function.hh"
 
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -39,14 +41,79 @@ WindowFunction::entryBits(unsigned n_nodes) const
     return std::uint64_t(depth_) * n_nodes;
 }
 
+NodePlanes::NodePlanes(unsigned n_nodes)
+{
+    ccp_assert(n_nodes >= 1 && n_nodes <= maxNodes, "bad node count");
+    width = std::bit_ceil(n_nodes);
+    planeMask = width == 64 ? ~std::uint64_t(0)
+                            : (std::uint64_t(1) << width) - 1;
+    nodeMask = n_nodes == 64 ? ~std::uint64_t(0)
+                             : (std::uint64_t(1) << n_nodes) - 1;
+}
+
+void
+NodePlanes::pushHistory(std::uint64_t *h, unsigned depth,
+                        std::uint64_t fb) const
+{
+    // The history is one depth*width-bit string, plane 0 lowest:
+    // shifting it up a plane ages every node's register at once.
+    const std::size_t nw = words(depth);
+    if (width == 64) {
+        for (std::size_t k = nw - 1; k > 0; --k)
+            h[k] = h[k - 1];
+        h[0] = fb;
+        return;
+    }
+    for (std::size_t k = nw - 1; k > 0; --k)
+        h[k] = (h[k] << width) | (h[k - 1] >> (64 - width));
+    h[0] = (h[0] << width) | fb;
+    const unsigned top = (depth * width) % 64;
+    if (top)
+        h[nw - 1] &= (std::uint64_t(1) << top) - 1;
+}
+
+namespace {
+
+/** Load the @p depth history planes at @p state into @p hp. */
+inline void
+loadHistory(const NodePlanes &planes, const std::uint64_t *state,
+            unsigned depth, std::uint64_t *hp)
+{
+    for (unsigned i = 0; i < depth; ++i)
+        hp[i] = planes.get(state, i);
+}
+
+/** The depth-bit history register of @p node, from the planes loaded
+ *  into @p hp. */
+inline unsigned
+historyOf(const std::uint64_t *hp, unsigned depth, unsigned node)
+{
+    unsigned v = 0;
+    for (unsigned i = 0; i < depth; ++i)
+        v |= unsigned((hp[i] >> node) & 1u) << i;
+    return v;
+}
+
+/** The nodes of @p live whose history register equals @p pattern,
+ *  from the planes loaded into @p hp. */
+inline std::uint64_t
+matching(const std::uint64_t *hp, unsigned depth, unsigned pattern,
+         std::uint64_t live)
+{
+    for (unsigned i = 0; i < depth; ++i)
+        live &= ((pattern >> i) & 1u) ? hp[i] : ~hp[i];
+    return live;
+}
+
+} // namespace
+
 PAsFunction::PAsFunction(unsigned depth, unsigned n_nodes)
-    : depth_(depth), nNodes_(n_nodes)
+    : depth_(depth), planes_(n_nodes)
 {
     ccp_assert(depth >= 1 && depth <= 8, "bad PAs depth ", depth);
-    ccp_assert(n_nodes >= 1 && n_nodes <= maxNodes, "bad node count");
-    historyWords_ = (std::size_t(nNodes_) * depth_ + 63) / 64;
-    std::size_t counter_bits = std::size_t(nNodes_) * (1u << depth_) * 2;
-    entryWords_ = historyWords_ + (counter_bits + 63) / 64;
+    historyWords_ = planes_.words(depth_);
+    // A (lo, hi) plane pair per pattern.
+    entryWords_ = historyWords_ + planes_.words(2u << depth_);
 }
 
 std::uint64_t
@@ -58,80 +125,57 @@ PAsFunction::entryBits(unsigned n_nodes) const
 }
 
 unsigned
-PAsFunction::historyOf(const std::uint64_t *state, unsigned node) const
+PAsFunction::counter(const std::uint64_t *state, unsigned node,
+                     unsigned pattern) const
 {
-    std::size_t bit = std::size_t(node) * depth_;
-    std::size_t word = bit / 64, off = bit % 64;
-    std::uint64_t v = state[word] >> off;
-    if (off + depth_ > 64)
-        v |= state[word + 1] << (64 - off);
-    return static_cast<unsigned>(v & ((1u << depth_) - 1));
-}
-
-void
-PAsFunction::setHistory(std::uint64_t *state, unsigned node,
-                        unsigned value) const
-{
-    std::size_t bit = std::size_t(node) * depth_;
-    std::size_t word = bit / 64, off = bit % 64;
-    std::uint64_t mask = std::uint64_t((1u << depth_) - 1);
-
-    state[word] = (state[word] & ~(mask << off)) |
-                  (std::uint64_t(value) << off);
-    if (off + depth_ > 64) {
-        unsigned spill = static_cast<unsigned>(off + depth_ - 64);
-        std::uint64_t hi_mask = (std::uint64_t(1) << spill) - 1;
-        state[word + 1] = (state[word + 1] & ~hi_mask) |
-                          (std::uint64_t(value) >> (depth_ - spill));
-    }
-}
-
-unsigned
-PAsFunction::counterOf(const std::uint64_t *state, unsigned node,
-                       unsigned pattern) const
-{
-    std::size_t bit = (std::size_t(node) * (1u << depth_) + pattern) * 2;
-    std::size_t word = historyWords_ + bit / 64, off = bit % 64;
-    return static_cast<unsigned>((state[word] >> off) & 3);
-}
-
-void
-PAsFunction::setCounter(std::uint64_t *state, unsigned node,
-                        unsigned pattern, unsigned value) const
-{
-    std::size_t bit = (std::size_t(node) * (1u << depth_) + pattern) * 2;
-    std::size_t word = historyWords_ + bit / 64, off = bit % 64;
-    state[word] = (state[word] & ~(std::uint64_t(3) << off)) |
-                  (std::uint64_t(value & 3) << off);
+    const std::uint64_t *ctr = state + historyWords_;
+    return unsigned((planes_.get(ctr, 2 * pattern) >> node) & 1) |
+           unsigned((planes_.get(ctr, 2 * pattern + 1) >> node) & 1)
+               << 1;
 }
 
 SharingBitmap
 PAsFunction::predict(const std::uint64_t *state) const
 {
-    SharingBitmap pred;
-    for (unsigned n = 0; n < nNodes_; ++n) {
-        unsigned hist = historyOf(state, n);
-        if (counterOf(state, n, hist) >= 2)
-            pred.set(n);
+    std::uint64_t hp[8] = {};
+    loadHistory(planes_, state, depth_, hp);
+    const std::uint64_t *ctr = state + historyWords_;
+    // One pass per distinct pattern the nodes hold: the lowest node
+    // left names it, and every node sharing it reads its hi plane.
+    std::uint64_t left = planes_.nodeMask, pred = 0;
+    while (left) {
+        const unsigned p = historyOf(
+            hp, depth_, unsigned(std::countr_zero(left)));
+        const std::uint64_t m = matching(hp, depth_, p, left);
+        pred |= m & planes_.get(ctr, 2 * p + 1);
+        left &= ~m;
     }
-    return pred;
+    return SharingBitmap(pred);
 }
 
 void
 PAsFunction::update(std::uint64_t *state, SharingBitmap feedback) const
 {
-    for (unsigned n = 0; n < nNodes_; ++n) {
-        bool read = feedback.test(n);
-        unsigned hist = historyOf(state, n);
-        unsigned ctr = counterOf(state, n, hist);
-        if (read && ctr < 3)
-            ++ctr;
-        else if (!read && ctr > 0)
-            --ctr;
-        setCounter(state, n, hist, ctr);
-        unsigned mask = (1u << depth_) - 1;
-        setHistory(state, n, ((hist << 1) | (read ? 1u : 0u)) & mask);
+    const std::uint64_t fb = feedback.raw() & planes_.nodeMask;
+    std::uint64_t hp[8] = {};
+    loadHistory(planes_, state, depth_, hp);
+    std::uint64_t *ctr = state + historyWords_;
+    std::uint64_t left = planes_.nodeMask;
+    while (left) {
+        const unsigned p = historyOf(
+            hp, depth_, unsigned(std::countr_zero(left)));
+        const std::uint64_t m = matching(hp, depth_, p, left);
+        const std::uint64_t lo = planes_.get(ctr, 2 * p);
+        const std::uint64_t hi = planes_.get(ctr, 2 * p + 1);
+        // Bit-sliced saturating 2-bit counters: readers count up
+        // unless at 3, the rest count down unless at 0.
+        const std::uint64_t inc = m & fb, dec = m & ~fb;
+        planes_.set(ctr, 2 * p,
+                    lo ^ (inc & ~(hi & lo)) ^ (dec & (hi | lo)));
+        planes_.set(ctr, 2 * p + 1, (hi | (inc & lo)) & ~(dec & ~lo));
+        left &= ~m;
     }
+    planes_.pushHistory(state, depth_, fb);
 }
 
 std::uint64_t
@@ -140,14 +184,115 @@ OverlapLastFunction::entryBits(unsigned n_nodes) const
     return 2ull * n_nodes; // two stored bitmaps
 }
 
+namespace {
+
+/** One in the low bit of each 16-bit lane. */
+constexpr std::uint64_t kLanes = 0x0001000100010001ull;
+/** The low byte of each 16-bit lane. */
+constexpr std::uint64_t kLowBytes = 0x00ff00ff00ff00ffull;
+/** The +128 weight bias, per byte. */
+constexpr std::uint64_t kBias = 0x8080808080808080ull;
+
+/** One in the low bit of each byte. */
+constexpr std::uint64_t kBytes = 0x0101010101010101ull;
+
+/** 0x01 in byte k where bit k of the index is set. */
+constexpr std::array<std::uint64_t, 256> kByteOnes = [] {
+    std::array<std::uint64_t, 256> t{};
+    for (unsigned b = 0; b < 256; ++b)
+        for (unsigned k = 0; k < 8; ++k)
+            if ((b >> k) & 1)
+                t[b] |= std::uint64_t(1) << (8 * k);
+    return t;
+}();
+
+/** 0x01 in each byte of @p x that is zero, exactly (no borrow runs
+ *  between bytes). */
+inline std::uint64_t
+zeroBytes(std::uint64_t x)
+{
+    const std::uint64_t low7 = 0x7f7f7f7f7f7f7f7full;
+    return ~(((x & low7) + low7) | x | low7) >> 7;
+}
+
+/** The lanes a term takes negated, for one byte of a history plane:
+ *  0x00ff in lane k of `even` where bit 2k of the byte is clear, and
+ *  of `odd` where bit 2k + 1 is. */
+struct NegLanes
+{
+    std::uint64_t even = 0, odd = 0;
+};
+
+constexpr std::array<NegLanes, 256> kNegLanes = [] {
+    std::array<NegLanes, 256> t{};
+    for (unsigned b = 0; b < 256; ++b) {
+        for (unsigned k = 0; k < 4; ++k) {
+            if (!((b >> (2 * k)) & 1))
+                t[b].even |= std::uint64_t(0xff) << (16 * k);
+            if (!((b >> (2 * k + 1)) & 1))
+                t[b].odd |= std::uint64_t(0xff) << (16 * k);
+        }
+    }
+    return t;
+}();
+
+/** The top bit of each 16-bit lane of @p x, gathered to bits 0, 2, 4
+ *  and 6: multiplying by 1 + 2^14 + 2^28 + 2^42 moves bit 16k to bit
+ *  42 + 2k, and no two partial products share a bit. */
+inline std::uint64_t
+laneSigns(std::uint64_t x)
+{
+    return ((((x >> 15) & kLanes) * 0x0000040010004001ull) >> 42) & 0x55;
+}
+
+/** Biased dot products of 8 nodes, one per 16-bit lane: the even
+ *  nodes' in `even`, the odd nodes' in `odd`. */
+struct LaneDots
+{
+    std::uint64_t even, odd;
+
+    /** The nodes whose lane reaches the threshold @p offset encodes
+     *  (bit j of the result is node j of the 8). */
+    std::uint64_t
+    reach(std::uint64_t offset) const
+    {
+        return laneSigns(even + offset) | laneSigns(odd + offset) << 1;
+    }
+};
+
+/** The lane dot products of nodes 8c..8c+7, from their word @p w of
+ *  weight row 0 (each next row @p row_words on) and the history
+ *  planes loaded into @p hp; @p shift is 8c. */
+inline LaneDots
+laneDots(const std::uint64_t *w, std::size_t row_words, unsigned depth,
+         const std::uint64_t *hp, unsigned shift)
+{
+    // Biased to u = w + 128 in [0, 255], a row word's even bytes fill
+    // the lanes of one sum and its odd bytes the other.  Term i is u
+    // where history bit i is set, else (u ^ 0xff) + 1 = 256 - u, i.e.
+    // -w + 128.
+    std::uint64_t u = *w ^ kBias;
+    LaneDots d{u & kLowBytes, (u >> 8) & kLowBytes};
+    for (unsigned i = 0; i < depth; ++i) {
+        w += row_words;
+        u = *w ^ kBias;
+        const NegLanes &n = kNegLanes[(hp[i] >> shift) & 0xff];
+        d.even += ((u & kLowBytes) ^ n.even) + (n.even & kLanes);
+        d.odd += (((u >> 8) & kLowBytes) ^ n.odd) + (n.odd & kLanes);
+    }
+    return d;
+}
+
+} // namespace
+
 PerceptronFunction::PerceptronFunction(unsigned depth,
                                        unsigned n_nodes,
                                        const PerceptronParams &params)
-    : depth_(depth), nNodes_(n_nodes), params_(params)
+    : depth_(depth), nNodes_(n_nodes), params_(params),
+      planes_(n_nodes)
 {
     ccp_assert(depth >= 1 && depth <= 8, "bad perceptron depth ",
                depth);
-    ccp_assert(n_nodes >= 1 && n_nodes <= maxNodes, "bad node count");
     ccp_assert(params.weightBits >= 2 && params.weightBits <= 8,
                "bad perceptron weight width ", params.weightBits);
     ccp_assert(params.theta >= 1 && params.theta <= 127,
@@ -158,13 +303,26 @@ PerceptronFunction::PerceptronFunction(unsigned depth,
 
     weightMax_ = (1 << (params.weightBits - 1)) - 1;
     weightMin_ = -(1 << (params.weightBits - 1));
-    historyWords_ = (std::size_t(nNodes_) * depth_ + 63) / 64;
-    // One int8 lane per weight keeps the packed state byte-addressable
-    // at every weight width; clamping enforces the narrower range.
-    std::size_t weight_bytes = std::size_t(nNodes_) * (depth_ + 1);
-    std::size_t weight_words = (weight_bytes + 7) / 8;
+    historyWords_ = planes_.words(depth_);
+    // One int8 lane per weight, at every weight width (clamping
+    // enforces the narrower range); a row of 8 lanes per word.
+    rowWords_ = (std::size_t(nNodes_) + 7) / 8;
+    const std::size_t weight_words = std::size_t(depth_ + 1) * rowWords_;
     bloomWord_ = historyWords_ + weight_words;
     entryWords_ = bloomWord_ + (params.bloomBits > 0 ? 1 : 0);
+
+    // Each of the depth + 1 biased terms is (+-w) + 128 in [0, 256],
+    // so a lane sums to dot + 128 (depth + 1) <= 2304 and never
+    // carries.  Adding 0x8000 - T sets the lane's top bit exactly
+    // when the biased dot reaches T (T is in (0, 2304], no wrap).
+    const int bias = 128 * int(depth_ + 1);
+    const int theta = int(params.theta);
+    auto offset = [&](int t) {
+        return kLanes * std::uint64_t(0x8000 - (bias + t));
+    };
+    atTheta_ = offset(theta);
+    aboveTheta_ = offset(theta + 1);
+    atNegTheta_ = offset(-theta);
 
     if (params.bloomBits > 0) {
         bloomCap_ = params.bloomBits / 4 > 0 ? params.bloomBits / 4 : 1;
@@ -212,51 +370,15 @@ PerceptronFunction::entryBits(unsigned n_nodes) const
     return std::uint64_t(n_nodes) * per_node + bloom;
 }
 
-unsigned
-PerceptronFunction::historyOf(const std::uint64_t *state,
-                              unsigned node) const
-{
-    std::size_t bit = std::size_t(node) * depth_;
-    std::size_t word = bit / 64, off = bit % 64;
-    std::uint64_t v = state[word] >> off;
-    if (off + depth_ > 64)
-        v |= state[word + 1] << (64 - off);
-    return static_cast<unsigned>(v & ((1u << depth_) - 1));
-}
-
-void
-PerceptronFunction::setHistory(std::uint64_t *state, unsigned node,
-                               unsigned value) const
-{
-    std::size_t bit = std::size_t(node) * depth_;
-    std::size_t word = bit / 64, off = bit % 64;
-    std::uint64_t mask = std::uint64_t((1u << depth_) - 1);
-
-    state[word] = (state[word] & ~(mask << off)) |
-                  (std::uint64_t(value) << off);
-    if (off + depth_ > 64) {
-        unsigned spill = static_cast<unsigned>(off + depth_ - 64);
-        std::uint64_t hi_mask = (std::uint64_t(1) << spill) - 1;
-        state[word + 1] = (state[word + 1] & ~hi_mask) |
-                          (std::uint64_t(value) >> (depth_ - spill));
-    }
-}
-
-int
-PerceptronFunction::dotAt(const std::uint64_t *, const std::int8_t *w,
-                          unsigned hist) const
-{
-    int acc = w[0];
-    for (unsigned i = 0; i < depth_; ++i)
-        acc += ((hist >> i) & 1u) ? w[1 + i] : -w[1 + i];
-    return acc;
-}
-
 int
 PerceptronFunction::dot(const std::uint64_t *state, unsigned node) const
 {
-    return dotAt(state, weightsOf(state, node),
-                 historyOf(state, node));
+    int acc = weight(state, node, 0);
+    for (unsigned i = 0; i < depth_; ++i) {
+        const int w = weight(state, node, i + 1);
+        acc += ((planes_.get(state, i) >> node) & 1) ? w : -w;
+    }
+    return acc;
 }
 
 double
@@ -303,52 +425,81 @@ PerceptronFunction::bloomInsert(std::uint64_t *state,
 SharingBitmap
 PerceptronFunction::predict(const std::uint64_t *state) const
 {
-    SharingBitmap pred;
-    const int theta = static_cast<int>(params_.theta);
-    for (unsigned n = 0; n < nNodes_; ++n) {
-        if (dot(state, n) >= theta && !bloomSuppressed(state, n))
-            pred.set(n);
+    std::uint64_t hp[8] = {};
+    loadHistory(planes_, state, depth_, hp);
+    const std::uint64_t *rows = state + historyWords_;
+    std::uint64_t pred = 0;
+    for (unsigned c = 0; c * 8 < nNodes_; ++c)
+        pred |= laneDots(rows + c, rowWords_, depth_, hp, 8 * c)
+                    .reach(atTheta_)
+                << (8 * c);
+    pred &= planes_.nodeMask;
+    if (params_.bloomBits > 0) {
+        for (std::uint64_t left = pred; left; left &= left - 1) {
+            const unsigned n = unsigned(std::countr_zero(left));
+            if (bloomSuppressed(state, n))
+                pred &= ~(std::uint64_t(1) << n);
+        }
     }
-    return pred;
+    return SharingBitmap(pred);
 }
 
 void
 PerceptronFunction::update(std::uint64_t *state,
                            SharingBitmap feedback) const
 {
-    const int theta = static_cast<int>(params_.theta);
-    const unsigned hist_mask = (1u << depth_) - 1;
-    for (unsigned n = 0; n < nNodes_; ++n) {
-        const bool read = feedback.test(n);
-        const unsigned hist = historyOf(state, n);
-        std::int8_t *w = weightsOf(state, n);
-        const int acc = dotAt(state, w, hist);
-        // The trainer sees the raw perceptron decision; the Bloom
-        // filter only gates emitted predictions.
-        const bool predicted = acc >= theta;
+    const std::uint64_t fb = feedback.raw() & planes_.nodeMask;
+    std::uint64_t hp[8] = {};
+    loadHistory(planes_, state, depth_, hp);
+    std::uint64_t *rows = state + historyWords_;
 
-        if (params_.bloomBits > 0 && predicted && !read)
-            bloomInsert(state, n); // a would-be false positive: dead
-
-        // Train on a mispredict or a low-confidence hit, clamped to
-        // the architected signed range.
-        if (predicted != read || (acc <= theta && acc >= -theta)) {
-            const int t = read ? 1 : -1;
-            auto clamped = [&](int v) {
-                return static_cast<std::int8_t>(
-                    v > weightMax_   ? weightMax_
-                    : v < weightMin_ ? weightMin_
-                                     : v);
-            };
-            w[0] = clamped(w[0] + t);
-            for (unsigned i = 0; i < depth_; ++i) {
-                const int dir = ((hist >> i) & 1u) ? t : -t;
-                w[1 + i] = clamped(w[1 + i] + dir);
-            }
-        }
-        setHistory(state, n, ((hist << 1) | (read ? 1u : 0u)) &
-                                 hist_mask);
+    // The trainer sees the raw perceptron decision; the Bloom filter
+    // only gates emitted predictions.
+    std::uint64_t predicted = 0, low_margin = 0;
+    for (unsigned c = 0; c * 8 < nNodes_; ++c) {
+        const LaneDots d = laneDots(rows + c, rowWords_, depth_, hp, 8 * c);
+        predicted |= d.reach(atTheta_) << (8 * c);
+        low_margin |= (d.reach(atNegTheta_) & ~d.reach(aboveTheta_))
+                      << (8 * c);
     }
+    predicted &= planes_.nodeMask;
+
+    // Would-be false positives are dead readers, inserted in node
+    // order (self-aging may clear the filter between two of them).
+    if (params_.bloomBits > 0)
+        for (std::uint64_t dead = predicted & ~fb; dead;
+             dead &= dead - 1)
+            bloomInsert(state, unsigned(std::countr_zero(dead)));
+
+    // Train on a mispredict or a low-confidence hit: every weight of
+    // those nodes moves one step toward agreeing with the outcome,
+    // unless it sits at its clamp bound.  Biased to [0, 255], a byte
+    // at neither bound can step without carrying into the next.
+    const std::uint64_t train =
+        ((predicted ^ fb) | low_margin) & planes_.nodeMask;
+    const std::uint64_t at_max = kBytes * unsigned(weightMax_ + 128);
+    const std::uint64_t at_min = kBytes * unsigned(weightMin_ + 128);
+    for (unsigned c = 0; c * 8 < nNodes_; ++c) {
+        const unsigned tb = unsigned(train >> (8 * c)) & 0xff;
+        if (!tb)
+            continue;
+        const unsigned read = unsigned(fb >> (8 * c)) & 0xff;
+        for (unsigned i = 0; i <= depth_; ++i) {
+            // The bias follows the outcome; weight i follows it where
+            // history bit i - 1 is set and opposes it where clear.
+            const unsigned up =
+                i == 0 ? read
+                       : ~(read ^ unsigned(hp[i - 1] >> (8 * c))) & 0xff;
+            std::uint64_t &word = rows[i * rowWords_ + c];
+            const std::uint64_t u = word ^ kBias;
+            const std::uint64_t inc =
+                kByteOnes[tb & up] & ~zeroBytes(u ^ at_max);
+            const std::uint64_t dec =
+                kByteOnes[tb & ~up] & ~zeroBytes(u ^ at_min);
+            word = (u + inc - dec) ^ kBias;
+        }
+    }
+    planes_.pushHistory(state, depth_, fb);
 }
 
 std::unique_ptr<PredictionFunction>

@@ -24,6 +24,7 @@
 #ifndef CCP_PREDICT_FUNCTION_HH
 #define CCP_PREDICT_FUNCTION_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -196,13 +197,62 @@ class WindowFunction : public PredictionFunction
 };
 
 /**
+ * Node-width bit-planes: the state layout PAs and the perceptron
+ * share.  A plane holds one bit per potential reader node; planes are
+ * packed `width` = bit_ceil(nodes) bits apart, so none straddles a
+ * word and one word op serves every node a plane holds.  A depth-d
+ * history register per node is d planes: plane i is bit i (i = 0 the
+ * newest) of every node's history.
+ */
+struct NodePlanes
+{
+    /** @param n_nodes Potential readers per plane (1..maxNodes). */
+    explicit NodePlanes(unsigned n_nodes);
+
+    /** Words holding @p planes planes. */
+    std::size_t words(unsigned planes) const
+    {
+        return (std::size_t(planes) * width + 63) / 64;
+    }
+
+    /** Plane @p k of the plane array at @p w. */
+    std::uint64_t get(const std::uint64_t *w, unsigned k) const
+    {
+        const std::size_t bit = std::size_t(k) * width;
+        return (w[bit / 64] >> (bit % 64)) & planeMask;
+    }
+
+    /** Overwrite plane @p k of the plane array at @p w with @p v. */
+    void set(std::uint64_t *w, unsigned k, std::uint64_t v) const
+    {
+        const std::size_t bit = std::size_t(k) * width;
+        const unsigned off = bit % 64;
+        w[bit / 64] = (w[bit / 64] & ~(planeMask << off)) | (v << off);
+    }
+
+    /** Shift @p fb in as plane 0 of the @p depth-plane history at
+     *  @p h; the oldest plane drops out. */
+    void pushHistory(std::uint64_t *h, unsigned depth,
+                     std::uint64_t fb) const;
+
+    unsigned width;          ///< bits per plane: bit_ceil(nodes)
+    std::uint64_t planeMask; ///< low `width` bits
+    std::uint64_t nodeMask;  ///< low `nodes` bits
+};
+
+/**
  * Two-level adaptive (PAs) prediction: per entry and per potential
  * reader node, a `depth`-bit history register indexes a pattern table
  * of 2-bit saturating counters; the per-node binary predictions
  * aggregate into the predicted bitmap.
  *
- * State layout: `historyWords` words of packed per-node histories,
- * then packed 2-bit counters.
+ * State layout (bit-planes, see NodePlanes): `depth` history planes,
+ * then for each pattern p a (lo, hi) plane pair holding bit 0 and
+ * bit 1 of every node's counter p.  Predict is the OR over the
+ * patterns the nodes hold of (nodes whose history is p) & hi_p; update
+ * is a bit-sliced saturating increment (readers) or decrement (the
+ * rest) of those nodes' counters.  Both loop over the distinct
+ * patterns present, at most min(nodes, 2^depth), not over all 2^depth.
  */
 class PAsFunction : public PredictionFunction
 {
@@ -221,17 +271,13 @@ class PAsFunction : public PredictionFunction
     void update(std::uint64_t *state,
                 SharingBitmap feedback) const override;
 
-  private:
-    unsigned historyOf(const std::uint64_t *state, unsigned node) const;
-    void setHistory(std::uint64_t *state, unsigned node,
-                    unsigned value) const;
-    unsigned counterOf(const std::uint64_t *state, unsigned node,
-                       unsigned pattern) const;
-    void setCounter(std::uint64_t *state, unsigned node,
-                    unsigned pattern, unsigned value) const;
+    /** The 2-bit counter @p node keeps for history @p pattern. */
+    unsigned counter(const std::uint64_t *state, unsigned node,
+                     unsigned pattern) const;
 
+  private:
     unsigned depth_;
-    unsigned nNodes_;
+    NodePlanes planes_;
     std::size_t historyWords_;
     std::size_t entryWords_;
 };
@@ -304,9 +350,13 @@ struct PerceptronParams
  * quarter of its bits' worth of inserts have accumulated, which also
  * bounds its false-positive rate (bloomFprBound()).
  *
- * State layout: packed per-node histories (as PAs), then per-node
- * weight vectors as int8 lanes, then (if enabled) one Bloom word
- * (filter in the low 32 bits, insert count above).
+ * State layout: `depth` history planes (see NodePlanes), then the
+ * weights weight-index-major as int8 — row i holds w_i of every node,
+ * byte n % 8 of word n / 8, padded to whole words — then (if enabled)
+ * one Bloom word (filter in the low 32 bits, insert count above).
+ * One row word serves 8 nodes: its even and odd bytes, biased by
+ * +128, become the 16-bit lanes of two u64 sums, so every term is
+ * non-negative and no lane can carry into the next.
  */
 class PerceptronFunction : public PredictionFunction
 {
@@ -334,6 +384,15 @@ class PerceptronFunction : public PredictionFunction
     int weightMin() const { return weightMin_; }
     int weightMax() const { return weightMax_; }
 
+    /** Weight @p i (0 = bias, i = history bit i - 1) of @p node. */
+    int weight(const std::uint64_t *state, unsigned node,
+               unsigned i) const
+    {
+        return static_cast<std::int8_t>(
+            state[historyWords_ + i * rowWords_ + node / 8] >>
+            (8 * (node % 8)));
+    }
+
     /** Raw (unsuppressed) per-node dot product of an entry. */
     int dot(const std::uint64_t *state, unsigned node) const;
 
@@ -347,24 +406,6 @@ class PerceptronFunction : public PredictionFunction
                          unsigned node) const;
 
   private:
-    unsigned historyOf(const std::uint64_t *state, unsigned node) const;
-    void setHistory(std::uint64_t *state, unsigned node,
-                    unsigned value) const;
-    const std::int8_t *
-    weightsOf(const std::uint64_t *state, unsigned node) const
-    {
-        return reinterpret_cast<const std::int8_t *>(
-                   state + historyWords_) +
-               std::size_t(node) * (depth_ + 1);
-    }
-    std::int8_t *
-    weightsOf(std::uint64_t *state, unsigned node) const
-    {
-        return reinterpret_cast<std::int8_t *>(state + historyWords_) +
-               std::size_t(node) * (depth_ + 1);
-    }
-    int dotAt(const std::uint64_t *state, const std::int8_t *w,
-              unsigned hist) const;
     void bloomInsert(std::uint64_t *state, unsigned node) const;
 
     unsigned depth_;
@@ -372,11 +413,18 @@ class PerceptronFunction : public PredictionFunction
     PerceptronParams params_;
     int weightMin_;
     int weightMax_;
+    NodePlanes planes_;
     std::size_t historyWords_;
+    /** Words per weight row: 8 int8 lanes each. */
+    std::size_t rowWords_;
     std::size_t entryWords_;
     /** Word index of the Bloom word; entryWords_ if disabled. */
     std::size_t bloomWord_;
     unsigned bloomCap_ = 0;
+    /** Per-lane threshold offsets: a biased lane dot plus one of
+     *  these sets the lane's top bit iff dot >= theta, dot > theta,
+     *  dot >= -theta respectively. */
+    std::uint64_t atTheta_, aboveTheta_, atNegTheta_;
     /** Per-node k=2 filter bit mask, fixed at construction. */
     std::uint32_t bloomMaskOf_[maxNodes] = {};
 };

@@ -88,6 +88,13 @@ PredictServer::snapshotKey() const
     word(opts_.nNodes);
     word(nSessions_);
     word(std::max<std::size_t>(opts_.session.windowEvents, 1));
+    // PAs and perceptron state is bit-planes and weight-index-major
+    // rows.  A blob in the earlier per-node packing has the same word
+    // count at 16 nodes, so only the key can tell the two apart.
+    const predict::FunctionKind kind = opts_.session.scheme.kind;
+    if (kind == predict::FunctionKind::PAs ||
+        kind == predict::FunctionKind::Perceptron)
+        str("state.planes.v2");
     return h.digest();
 }
 

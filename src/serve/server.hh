@@ -148,7 +148,8 @@ class PredictServer
     bool snapshotNow();
 
     /** Identity hash of this server's snapshot layout (scheme, mode,
-     *  nodes, session count, window) — the CCPS key. */
+     *  nodes, session count, window, and the state-layout revision of
+     *  the PAs and perceptron families) — the CCPS key. */
     std::uint64_t snapshotKey() const;
 
   private:

@@ -287,8 +287,8 @@ orchestrateSweep(const OrchestratorOptions &opts,
 
                 if (res.status == SubprocessStatus::Drained) {
                     // The worker drained on a signal the supervisor
-                    // did not send (Ctrl-C reaches the whole process
-                    // group): stop the fleet, keep the partial state.
+                    // did not send (an operator's SIGTERM): stop the
+                    // fleet, keep the partial state.
                     interrupted.store(true);
                     std::lock_guard<std::mutex> lock(mutex);
                     ccp_warn("shard ", shard,

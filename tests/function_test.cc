@@ -205,8 +205,8 @@ TEST(PAs, EntryBitsFollowPaperAccounting)
 
 TEST(PAs, DeepHistoryStateLayoutIsSound)
 {
-    // 64 nodes at depth 8 stresses the packed-bit layout, including
-    // histories straddling word boundaries.
+    // 64 nodes at depth 8 stresses the bit-plane layout: one word per
+    // plane, 512 counter planes.
     PAsFunction pas(8, 64);
     auto st = freshState(pas);
     Rng rng(3);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -117,9 +118,8 @@ TEST(Perceptron, PredictMatchesDotAndSuppression)
 
 TEST(Perceptron, DeepStateLayoutIsSound)
 {
-    // 64 nodes at depth 5 forces per-node histories to straddle
-    // 64-bit word boundaries; the weight lanes and Bloom word follow
-    // and must not alias them.
+    // 64 nodes at depth 5: every history plane fills a whole word;
+    // the weight rows and Bloom word follow and must not alias them.
     PerceptronFunction fn(5, 64, params(5, 2, 32));
     auto st = freshState(fn);
     Rng rng(3);
@@ -148,19 +148,16 @@ TEST(Perceptron, ThetaMonotonicityOnFixedState)
 // ---------------------------------------------------------------------
 // Saturating weight arithmetic
 
-/** All weight lanes of an entry, read straight from the raw state. */
+/** Every weight of every node of an entry, through the public
+ *  accessor (the layout is the function's business). */
 std::vector<int>
-rawWeights(const std::vector<std::uint64_t> &st, unsigned depth,
-           unsigned n_nodes)
+allWeights(const PerceptronFunction &fn,
+           const std::vector<std::uint64_t> &st, unsigned n_nodes)
 {
-    const std::size_t history_words =
-        (std::size_t(n_nodes) * depth + 63) / 64;
-    const auto *lanes = reinterpret_cast<const std::int8_t *>(
-        st.data() + history_words);
     std::vector<int> out;
-    for (std::size_t i = 0;
-         i < std::size_t(n_nodes) * (depth + 1); ++i)
-        out.push_back(lanes[i]);
+    for (unsigned n = 0; n < n_nodes; ++n)
+        for (unsigned i = 0; i <= fn.depth(); ++i)
+            out.push_back(fn.weight(st.data(), n, i));
     return out;
 }
 
@@ -183,7 +180,7 @@ TEST(Perceptron, WeightsNeverEscapeClampBounds)
               default: fb = rng() & 0xffff; break;  // noise
             }
             fn.update(st.data(), SharingBitmap(fb));
-            for (int w : rawWeights(st, depth, nodes)) {
+            for (int w : allWeights(fn, st, nodes)) {
                 ASSERT_GE(w, fn.weightMin()) << "width " << wb;
                 ASSERT_LE(w, fn.weightMax()) << "width " << wb;
             }
@@ -252,10 +249,12 @@ TEST(Perceptron, EntryBitsFollowCostModel)
 
 TEST(Perceptron, StateWordsAccountForEveryLane)
 {
-    // histories + int8 weight lanes (+ one Bloom word when enabled).
+    // History planes bit_ceil(nodes) bits apart + (depth + 1) rows
+    // of int8 lanes, 8 to a word (+ one Bloom word when enabled).
     auto words = [](unsigned depth, unsigned nodes, unsigned bloom) {
-        std::size_t hw = (std::size_t(nodes) * depth + 63) / 64;
-        std::size_t ww = (std::size_t(nodes) * (depth + 1) + 7) / 8;
+        std::size_t width = std::bit_ceil(nodes);
+        std::size_t hw = (width * depth + 63) / 64;
+        std::size_t ww = (std::size_t(nodes) + 7) / 8 * (depth + 1);
         return hw + ww + (bloom ? 1 : 0);
     };
     EXPECT_EQ(PerceptronFunction(2, 16, params(5, 2)).entryWords(),
@@ -264,6 +263,10 @@ TEST(Perceptron, StateWordsAccountForEveryLane)
               words(2, 16, 16));
     EXPECT_EQ(PerceptronFunction(8, 64, params(5, 2, 32)).entryWords(),
               words(8, 64, 32));
+    EXPECT_EQ(PerceptronFunction(3, 6, params(5, 2, 8)).entryWords(),
+              words(3, 6, 8));
+    EXPECT_EQ(PerceptronFunction(2, 4, params(5, 2)).entryWords(),
+              words(2, 4, 0));
 }
 
 // ---------------------------------------------------------------------

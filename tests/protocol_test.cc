@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.hh"
 #include "mem/protocol.hh"
 #include "trace/trace.hh"
@@ -284,6 +286,15 @@ struct PropertyCase
     std::uint64_t seed;
     unsigned n_nodes;
 };
+
+/** Print by value: the default byte dump includes the struct's
+ *  padding bytes, which change between builds, and so would the
+ *  discovered test names. */
+void
+PrintTo(const PropertyCase &c, std::ostream *os)
+{
+    *os << "seed " << c.seed << " nodes " << c.n_nodes;
+}
 
 class ProtocolPropertyTest
     : public ::testing::TestWithParam<PropertyCase>

@@ -26,6 +26,7 @@
 #include "serve/spsc.hh"
 #include "sweep/checkpoint.hh"
 #include "sweep/name.hh"
+#include "trace/format.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -691,6 +692,74 @@ TEST_F(ServerSnapshotTest, PerceptronRestoresByteIdenticalAtAnyAgentCount)
         EXPECT_TRUE(sameConfusion(got.total, want.total)) << c;
         EXPECT_TRUE(sameConfusion(got.window, want.window)) << c;
     }
+}
+
+TEST_F(ServerSnapshotTest, PAsRefusesPerNodeLayoutBlobAndRoundTripsPlanes)
+{
+    // A blob written before the PAs/perceptron state became bit-planes
+    // carries the same words per entry at 16 nodes and would decode
+    // into wrong counters.  Its key lacks the layout revision, so
+    // restore must refuse it as KeyMismatch, while a blob in the
+    // current layout restores and re-emits byte for byte.
+    const SessionConfig cfg = makeConfig("pas(pid+pc4)2", 32);
+    const auto streams = makeStreams(2);
+    ServeOptions opts;
+    opts.session = cfg;
+    opts.nNodes = kNodes;
+    opts.sessions = 2;
+    opts.agents = 2;
+    opts.snapshotPath = snapPath();
+    opts.snapshotIntervalSec = 0;
+    {
+        PredictServer server(opts);
+        ASSERT_TRUE(server.start());
+        driveServer(server, streams);
+        server.stop();
+    }
+    const std::vector<char> image = snapBytes();
+    {
+        PredictServer copy(opts);
+        ASSERT_EQ(copy.restore(), sweep::CheckpointLoad::Ok);
+        ASSERT_TRUE(copy.start());
+        copy.stop();
+        EXPECT_EQ(snapBytes(), image);
+    }
+
+    // Re-key the same payload the way the per-node layout keyed it:
+    // scheme, mode, nodes, sessions and window, no layout revision.
+    // Window families still key that way, which pins the replica.
+    auto legacy_key = [](const SessionConfig &c) {
+        trace::Fnv1a h;
+        auto word = [&h](std::uint64_t v) { h.update(&v, sizeof(v)); };
+        auto str = [&h](const std::string &s) {
+            h.update(s.data(), s.size());
+            h.update("\0", 1);
+        };
+        str("ccp.serve.v1");
+        str(sweep::formatScheme(c.scheme));
+        str(predict::updateModeName(c.mode));
+        word(kNodes);
+        word(2);
+        word(c.windowEvents);
+        return h.digest();
+    };
+    {
+        ServeOptions window = opts;
+        window.session = makeConfig("inter(pid+pc4)2", 32);
+        EXPECT_EQ(PredictServer(window).snapshotKey(),
+                  legacy_key(window.session));
+    }
+    std::vector<char> payload;
+    {
+        PredictServer server(opts);
+        ASSERT_EQ(sweep::loadStateBlob(snapPath(), server.snapshotKey(),
+                                       payload),
+                  sweep::CheckpointLoad::Ok);
+    }
+    ASSERT_TRUE(
+        sweep::saveStateBlob(snapPath(), legacy_key(cfg), payload));
+    PredictServer server(opts);
+    EXPECT_EQ(server.restore(), sweep::CheckpointLoad::KeyMismatch);
 }
 
 TEST_F(ServerSnapshotTest, SnapshotNowWhileServingIsRestorable)

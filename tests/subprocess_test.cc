@@ -2,16 +2,21 @@
  * @file
  * Tests for the one-shot child-process runner (common/subprocess.hh):
  * exit classification (clean / drained / failed / signaled), the
- * deadline with SIGTERM→SIGKILL escalation, the liveness probe that
+ * deadline with SIGTERM→SIGKILL escalation to the child's whole
+ * process group, the liveness probe that
  * re-arms it, stderr tail capture and truncation, environment
  * overrides, stdout redirection, and structured spawn errors.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <signal.h>
 
@@ -84,6 +89,51 @@ TEST(SubprocessTest, DeadlineEscalatesToKillWhenTermIsIgnored)
     EXPECT_EQ(res.status, SubprocessStatus::Timeout);
     EXPECT_EQ(res.signalNo, SIGKILL);
     EXPECT_LT(res.wallSec, 10.0);
+}
+
+/** True once @p pid has exited (gone, or a zombie awaiting its
+ *  reaper). */
+bool
+processGone(pid_t pid)
+{
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string line;
+    if (!std::getline(stat, line))
+        return true;
+    // The state letter follows the parenthesised command name.
+    const std::size_t rp = line.rfind(')');
+    return rp != std::string::npos && rp + 2 < line.size() &&
+           line[rp + 2] == 'Z';
+}
+
+TEST(SubprocessTest, DeadlineLeavesNoDescendantAlive)
+{
+    // The shell starts two background grandchildren, one that dies on
+    // SIGTERM and one that ignores it, and prints their pids.  The
+    // shell itself dies on the deadline's SIGTERM; neither grandchild
+    // may outlive runSubprocess (orphaned, holding the stderr pipe).
+    const auto res = runShell(
+        "sleep 30 & echo $! >&2; "
+        "(trap '' TERM; exec sleep 30) & echo $! >&2; wait",
+        [](SubprocessSpec &s) {
+            s.deadlineSec = 0.3;
+            s.termGraceSec = 5.0;
+        });
+    EXPECT_EQ(res.status, SubprocessStatus::Timeout);
+    EXPECT_EQ(res.signalNo, SIGTERM);
+    EXPECT_LT(res.wallSec, 4.0);
+
+    std::istringstream pids(res.stderrTail);
+    std::vector<pid_t> descendants;
+    for (long p; pids >> p;)
+        descendants.push_back(static_cast<pid_t>(p));
+    ASSERT_EQ(descendants.size(), 2u) << res.stderrTail;
+    for (pid_t p : descendants) {
+        // A SIGKILLed process may take a moment to be reaped.
+        for (int i = 0; i < 200 && !processGone(p); ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        EXPECT_TRUE(processGone(p)) << "descendant " << p << " survived";
+    }
 }
 
 TEST(SubprocessTest, ProgressProbeReArmsTheDeadline)

@@ -13,7 +13,8 @@
  *
  * The record kind is read from meta.kind (absent = "sweep", the
  * original record layout); baseline and current must agree.  Sweep
- * records gate the kernel speedups below; serve records gate
+ * records gate the kernel speedups and the learned families' rates
+ * (below); serve records gate
  * pipeline_ratio (served vs inline events/s on the same machine —
  * relative, so host-portable) and record the absolute events/s and
  * ingest-to-predict p50/p99 latency, which must stay present but only
@@ -23,8 +24,9 @@
  * Two comparison modes:
  *
  *  - Relative (default): gates metrics that are ratios of two runs on
- *    the SAME machine — the batched/reference speedup and the
- *    tracing overhead — so a baseline
+ *    the SAME machine — the batched/reference speedup, each learned
+ *    family's (PAs, perceptron) scheme-events/s over the window
+ *    fixture's batched rate, and the tracing overhead — so a baseline
  *    committed from one host is a valid gate on any other (CI runners
  *    differ in absolute throughput by design, and gating absolute
  *    numbers across hosts would only flake).
@@ -428,6 +430,26 @@ main(int argc, char **argv)
                 c.current = 100.0 / (100.0 + cur_ov);
             }
         }
+    }
+    // Each learned family's rate over the window batched rate of the
+    // same run: the family ops' cost relative to the kernel they ride
+    // in, which holds across hosts where the absolute rates do not.
+    for (const char *fam : {"pas", "perceptron"}) {
+        Check &c = pushCheck(std::string(fam) + " / window batched",
+                             std::nan(""), std::nan(""));
+        auto ratio = [&](const Json &doc, const char *which) {
+            const double num = field(doc, fam, "scheme_events_per_sec");
+            const double den =
+                field(doc, "batched", "scheme_events_per_sec");
+            if (!std::isnan(num) && !std::isnan(den) && !(den > 0.0)) {
+                c.malformed = true;
+                c.note = std::string(which) +
+                         " batched rate is not positive";
+            }
+            return num / den; // nan when either is missing
+        };
+        c.baseline = ratio(*base, "baseline");
+        c.current = ratio(*cur, "current");
     }
     if (opt.absolute) {
         for (const char *sec :
