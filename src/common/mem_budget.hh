@@ -5,11 +5,25 @@
  * The design-space sweeps instantiate predictor tables up to 2^24 bits
  * *per scheme*; a pathological scheme set (or a generous one on a
  * small machine) can OOM-kill the whole sweep and discard hours of
- * completed work.  The sweep runner pre-computes each batch's packed
+ * completed work.  The sweep runner pre-computes each batch's
  * predictor-table footprint (sweep::schemeStateWords) and asks this
  * guard before evaluating it, degrading gracefully — batches are
  * planned under the budget, and a single scheme that alone exceeds it
  * is skipped and reported instead of attempted.
+ *
+ * Admission charges the full-table upper bound, 2^indexBits entries
+ * per scheme, not what the batched kernel allocates.  Its per-trace
+ * state holds whole tables only where they are small next to the
+ * trace and otherwise just the entries the trace touches, never more
+ * than that bound.  Its dense-id slot array (one u32 per entry of the
+ * widest dense table, against at least two words per entry of each
+ * scheme on it) is at most a quarter of one charged table.  It is
+ * covered by the bound whenever the trace leaves that much of its
+ * dense tables untouched — the usual case, since only tables large
+ * next to the trace are mapped densely — and otherwise exceeds it by
+ * at most that quarter.  The per-event id arrays scale with the
+ * trace, not the schemes (4 bytes per event and dense index group, 8
+ * under forwarded update), and are not charged.
  *
  * The budget bounds the footprint of ONE in-flight batch; with T
  * worker threads total predictor state is bounded by T x budget.

@@ -13,9 +13,16 @@
  *    intersection.  Depth 1 is exactly "last prediction" (Lai &
  *    Falsafi); intersection of depth 2 is Kaxiras & Goodman's
  *    intersection predictor.
+ *  - OverlapLastFunction (overlap-last): Kaxiras & Goodman's "last"
+ *    variant, which predicts the last sharing bitmap only when it
+ *    overlaps the one before it.
  *  - PAsFunction: Yeh & Patt style two-level adaptive prediction,
  *    per potential reader: an N x depth set of history registers
  *    selects per-node pattern tables of 2-bit saturating counters.
+ *  - PerceptronFunction (perceptron): per potential reader, a
+ *    depth-bit history and saturating signed weights whose dot
+ *    product against a threshold predicts sharing, with an optional
+ *    Bloom negative filter.
  *
  * Entry state is stored as a flat span of 64-bit words so the table
  * stays dense and sweep evaluation stays fast.
@@ -94,7 +101,8 @@ class PredictionFunction
     virtual void update(std::uint64_t *state,
                         SharingBitmap feedback) const = 0;
 
-    /** Family name: "union", "inter", or "pas". */
+    /** Family name: "union", "inter", "pas", "overlap-last", or
+     *  "perceptron". */
     std::string name() const { return functionKindName(kind()); }
 };
 

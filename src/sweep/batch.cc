@@ -45,6 +45,9 @@ checkedSchemeStateWords(unsigned bits, std::size_t entry_words)
     return entries * entry_words;
 }
 
+/** The unmapped slot of the dense-id map. */
+constexpr std::uint32_t unmappedId = ~std::uint32_t(0);
+
 } // namespace
 
 BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
@@ -55,11 +58,11 @@ BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
     ccp_assert(!schemes_.empty(), "empty scheme batch");
     compiled_.reserve(schemes_.size());
 
-    std::size_t total_words = 0;
+    // specs[g] is the IndexSpec of groups_[g].
+    std::vector<predict::IndexSpec> specs;
     for (std::size_t i = 0; i < schemes_.size(); ++i) {
         const SchemeSpec &s = schemes_[i];
         Compiled c;
-        c.plan = predict::makeIndexPlan(s.index, nodeBits_);
         c.depth = s.depth;
         std::shared_ptr<const predict::PredictionFunction> fn =
             predict::makeFunction(s.kind, s.depth, n_nodes, s.perc);
@@ -84,14 +87,100 @@ BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
                 std::static_pointer_cast<const PerceptronFunction>(fn);
             break;
         }
-        c.base = total_words;
-        total_words += checkedSchemeStateWords(
-            s.index.indexBits(nodeBits_), c.entryWords);
+        const unsigned bits = s.index.indexBits(nodeBits_);
+        tableWords_ += checkedSchemeStateWords(bits, c.entryWords);
+        c.group = static_cast<std::size_t>(
+            std::find(specs.begin(), specs.end(), s.index) -
+            specs.begin());
+        if (c.group == specs.size()) {
+            specs.push_back(s.index);
+            Group g;
+            g.plan = predict::makeIndexPlan(s.index, nodeBits_);
+            g.bits = bits;
+            groups_.push_back(g);
+        }
         compiled_.push_back(std::move(c));
     }
-    state_.assign(total_words, 0);
     entryScratch_.assign(compiled_.size(), nullptr);
     updScratch_.assign(compiled_.size(), nullptr);
+}
+
+void
+BatchEvaluator::buildIds(const trace::SharingTrace &trace,
+                         UpdateMode mode)
+{
+    const auto &events = trace.events();
+    const std::size_t n_events = events.size();
+    const std::size_t n_groups = groups_.size();
+    // Dense ids count at most two raw indices per event, and must
+    // stay below unmappedId.
+    ccp_assert(n_events < (std::size_t(1) << 31),
+               "trace of ", n_events, " events is too long for u32 ids");
+    const bool learns = predict::learnsFromPrevWriter(mode);
+    ids_.resize(n_events * n_groups);
+    if (learns)
+        learnIds_.resize(n_events * n_groups);
+    std::uint32_t *const ids = ids_.data();
+    std::uint32_t *const learn_ids = learnIds_.data();
+
+    // Pass 1, one walk over the trace: every group's raw table index
+    // (raw indices fit u32: at most maxTableIndexBits wide).  The
+    // learner's is the event's own where the event trains nothing.
+    for (std::size_t seq = 0; seq < n_events; ++seq) {
+        const trace::CoherenceEvent &ev = events[seq];
+        const std::uint64_t pcw = ev.pc >> 2;
+        const predict::Learner who = predict::learner(ev, mode);
+        const bool learns_first = predict::learnsFirst(ev, mode);
+        for (std::size_t g = 0; g < n_groups; ++g) {
+            const predict::IndexPlan &plan = groups_[g].plan;
+            const auto raw = static_cast<std::uint32_t>(
+                plan.fromWords(ev.pid, pcw, ev.dir, ev.block));
+            const std::size_t at = g * n_events + seq;
+            ids[at] = raw;
+            if (learns)
+                learn_ids[at] =
+                    learns_first
+                        ? static_cast<std::uint32_t>(plan.fromWords(
+                              who.pid, who.pc >> 2, ev.dir, ev.block))
+                        : raw;
+        }
+    }
+
+    // Pass 2: a group whose table is large next to the trace
+    // renumbers its raw indices densely, by first touch.
+    for (std::size_t g = 0; g < n_groups; ++g) {
+        Group &grp = groups_[g];
+        const std::size_t table = std::size_t(1) << grp.bits;
+        if (n_events == 0) { // an empty trace touches nothing
+            grp.entries = 0;
+            continue;
+        }
+        if (table * identityEventsPerEntry <= n_events) {
+            grp.entries = table;
+            continue;
+        }
+        if (slots_.size() < table)
+            slots_.assign(table, unmappedId);
+        std::uint32_t *const slots = slots_.data();
+        touched_.clear();
+        const auto renumber = [&](std::uint32_t &id) {
+            std::uint32_t &slot = slots[id];
+            if (slot == unmappedId) {
+                slot = static_cast<std::uint32_t>(touched_.size());
+                touched_.push_back(id);
+            }
+            id = slot;
+        };
+        for (std::size_t at = g * n_events; at < (g + 1) * n_events;
+             ++at) {
+            renumber(ids[at]);
+            if (learns)
+                renumber(learn_ids[at]);
+        }
+        grp.entries = touched_.size();
+        for (std::uint32_t raw : touched_)
+            slots[raw] = unmappedId;
+    }
 }
 
 template <UpdateMode mode>
@@ -175,40 +264,26 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
         // Decode once per event, not once per (event, scheme); the
         // local copy cannot alias the state the schemes write.
         const trace::CoherenceEvent ev = ev_ref;
-        const std::uint64_t pid = ev.pid;
-        const std::uint64_t pcw = ev.pc >> 2;
-        const std::uint64_t dir = ev.dir;
-        const std::uint64_t block = ev.block;
         const std::uint64_t actual = ev.readers.raw() & mask;
         const std::uint64_t actual_pop = std::popcount(actual);
-        const bool learns_first = predict::learnsFirst(ev, mode);
-        const predict::Learner who = predict::learner(ev, mode);
-        const std::uint64_t learn_pid = who.pid;
-        const std::uint64_t learn_pcw = who.pc >> 2;
         const SharingBitmap fb_ordered =
             mode == UpdateMode::Ordered ? ordered_fb[seq] : SharingBitmap();
 
         // Address pass: resolve (and prefetch) every scheme's entry
-        // before any is touched, so the per-scheme cache misses
-        // overlap instead of serializing behind each other.  When the
-        // learner is not the current writer and the event trains it,
-        // its entry (same dir/block, different identity fields) is
-        // resolved too.
+        // from its group's id before any is touched, so the
+        // per-scheme cache misses overlap instead of serializing
+        // behind each other.  Under forwarded update the learner's
+        // entry is resolved too.
         for (std::size_t i = 0; i < n_schemes; ++i) {
             const Compiled &c = compiled[i];
             std::uint64_t *const slice = state + c.base;
             std::uint64_t *const entry =
-                slice +
-                c.plan.fromWords(pid, pcw, dir, block) * c.entryWords;
+                slice + std::size_t(c.ids[seq]) * c.entryWords;
             ent[i] = entry;
             __builtin_prefetch(entry, 1);
             if (predict::learnsFromPrevWriter(mode)) {
                 std::uint64_t *const upd =
-                    learns_first
-                        ? slice + c.plan.fromWords(learn_pid, learn_pcw,
-                                                   dir, block) *
-                                      c.entryWords
-                        : entry;
+                    slice + std::size_t(c.learnIds[seq]) * c.entryWords;
                 upd_ptr[i] = upd;
                 __builtin_prefetch(upd, 1);
             }
@@ -233,9 +308,23 @@ BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
     ccp_assert(trace.nNodes() == nNodes_,
                "batch compiled for ", nNodes_, " nodes, trace has ",
                trace.nNodes());
-    std::fill(state_.begin(), state_.end(), 0);
-    for (Compiled &c : compiled_)
+    obs::Stopwatch id_watch;
+    buildIds(trace, mode);
+    const double id_sec = id_watch.elapsedSec();
+
+    // Carve each scheme's dense state from the reused buffer; only
+    // this trace's extent is zeroed.
+    const std::size_t n_events = trace.events().size();
+    const bool learns = predict::learnsFromPrevWriter(mode);
+    std::size_t words = 0;
+    for (Compiled &c : compiled_) {
+        c.ids = ids_.data() + c.group * n_events;
+        c.learnIds = learns ? learnIds_.data() + c.group * n_events : c.ids;
+        c.base = words;
+        words += groups_[c.group].entries * c.entryWords;
         c.tp = c.fp = c.fn = 0;
+    }
+    state_.assign(words, 0);
 
     std::vector<SharingBitmap> ordered_fb;
     if (mode == UpdateMode::Ordered)
@@ -261,6 +350,9 @@ BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
     auto &reg = obs::StatsRegistry::current();
     reg.counter("batch.trace_walks") += 1;
     reg.counter("batch.scheme_events") += scheme_events;
+    reg.counter("batch.state_words") += state_.size();
+    reg.counter("batch.table_words") += tableWords_;
+    reg.summary("batch.id_build_seconds").add(id_sec);
     reg.summary("batch.trace_seconds").add(sec);
     if (sec > 0.0 && scheme_events > 0)
         reg.summary("batch.scheme_events_per_sec")
@@ -314,18 +406,35 @@ planBatches(const std::vector<SchemeSpec> &schemes, unsigned n_nodes,
 {
     std::vector<std::pair<std::size_t, std::size_t>> batches;
     std::size_t first = 0, words = 0;
-    for (std::size_t i = 0; i < schemes.size(); ++i) {
-        std::size_t scheme_words =
-            schemeStateWords(schemes[i], n_nodes);
-        bool full = i > first && (i - first >= max_schemes ||
-                                  words + scheme_words >
-                                      max_state_words);
-        if (full) {
-            batches.emplace_back(first, i);
-            first = i;
-            words = 0;
+    auto cut = [&](std::size_t at) {
+        batches.emplace_back(first, at);
+        first = at;
+        words = 0;
+    };
+    std::vector<std::size_t> scheme_words(schemes.size());
+    for (std::size_t i = 0; i < schemes.size(); ++i)
+        scheme_words[i] = schemeStateWords(schemes[i], n_nodes);
+
+    for (std::size_t g = 0; g < schemes.size();) {
+        // The IndexSpec group at g: its run of consecutive schemes.
+        std::size_t end = g + 1;
+        std::size_t group_words = scheme_words[g];
+        while (end < schemes.size() &&
+               schemes[end].index == schemes[g].index)
+            group_words += scheme_words[end++];
+        // A group that does not fit the open batch starts a new one.
+        if (g > first && (end - first > max_schemes ||
+                          words + group_words > max_state_words))
+            cut(g);
+        // Within the group, only one too large for a batch of its
+        // own splits.
+        for (std::size_t i = g; i < end; ++i) {
+            if (i > first && (i - first >= max_schemes ||
+                              words + scheme_words[i] > max_state_words))
+                cut(i);
+            words += scheme_words[i];
         }
-        words += scheme_words;
+        g = end;
     }
     if (first < schemes.size())
         batches.emplace_back(first, schemes.size());

@@ -11,11 +11,16 @@
  * This kernel inverts the loop: each trace event is decoded exactly
  * once and driven through *all* schemes of a batch.
  *
- *  - Per-scheme table state lives in one contiguous packed word array
- *    (no per-entry or per-table indirection; schemes are slices at
- *    precomputed offsets).
- *  - Index extraction is compiled once per scheme into a
- *    predict::IndexPlan — a fixed branch-free mask/shift pipeline.
+ *  - Schemes are grouped by IndexSpec.  Per trace, each group's
+ *    predict::IndexPlan is evaluated once per event into a u32 entry
+ *    id (and, under forwarded update, one for the learner's tuple)
+ *    shared by every scheme of the group.
+ *  - Predictor state is dense per trace: ids are first-touch dense
+ *    numbers, so each scheme's state is (distinct entries the trace
+ *    touches) x entryWords words, carved from one reused buffer of
+ *    which only that extent is zeroed.  Tables small next to the
+ *    trace use the raw index as the id instead (see
+ *    identityEventsPerEntry).
  *  - Prediction functions are dispatched by a flat opcode (no virtual
  *    calls for the window families that dominate the design space:
  *    the kernel calls the shared inline window and overlap-last
@@ -48,13 +53,25 @@
 namespace ccp::sweep {
 
 /**
+ * The identity-map rule: a group whose table has at most
+ * events / identityEventsPerEntry entries uses the raw index as its
+ * entry id (the trace is long enough that zeroing the whole table
+ * costs less than mapping ids densely); wider tables get first-touch
+ * dense ids.  A fixed rule on the trace length, so the same batch and
+ * trace always take the same path.
+ */
+inline constexpr std::uint64_t identityEventsPerEntry = 16;
+
+/**
  * Evaluates a fixed batch of schemes over traces, event-major.
  *
- * Construction compiles every scheme (index plan, opcode, state
- * slice); evaluateTrace() then walks a trace once for the whole
- * batch.  The batch owns all predictor state; a fresh trace clears it
- * (the same fresh-table-per-trace semantics as the reference
- * evaluateSuite path).
+ * Construction compiles every scheme (opcode, entry size) and groups
+ * the batch by IndexSpec, one compiled index plan per group;
+ * evaluateTrace() then builds each group's entry ids and walks the
+ * trace once for the whole batch.  The batch owns all predictor
+ * state; a fresh trace starts from zeroed state (the same
+ * fresh-table-per-trace semantics as the reference evaluateSuite
+ * path).
  */
 class BatchEvaluator
 {
@@ -100,15 +117,30 @@ class BatchEvaluator
         Perceptron,  ///< hashed perceptron (via PerceptronFunction)
     };
 
-    /** One compiled scheme: plan + opcode + state slice. */
-    struct Compiled
+    /** The schemes of one IndexSpec: their shared plan and ids. */
+    struct Group
     {
         predict::IndexPlan plan;
+        unsigned bits = 0;
+        /** Entries the current trace's ids address. */
+        std::size_t entries = 0;
+    };
+
+    /** One compiled scheme: group + opcode + state extent. */
+    struct Compiled
+    {
+        /** This scheme's index group in groups_. */
+        std::size_t group = 0;
         Op op = Op::Last;
         unsigned depth = 1;
         std::size_t entryWords = 0;
-        /** Offset of this scheme's state slice in state_. */
+        /** Offset of this scheme's state in state_ for the current
+         *  trace (entries x entryWords words from there). */
         std::size_t base = 0;
+        /** The current trace's entry ids of this scheme's group, and
+         *  its learner ids (the same ids unless forwarded). */
+        const std::uint32_t *ids = nullptr;
+        const std::uint32_t *learnIds = nullptr;
         /** Concrete function, PAs only (word layout lives there). */
         std::shared_ptr<const predict::PAsFunction> pas;
         /** Concrete function, perceptron only (same reason). */
@@ -116,6 +148,11 @@ class BatchEvaluator
         /** tp/fp/fn popcount tallies for the trace being walked. */
         std::uint64_t tp = 0, fp = 0, fn = 0;
     };
+
+    /** Fill ids_ (and learnIds_ under forwarded update) for
+     *  @p trace and set every group's entry count. */
+    void buildIds(const trace::SharingTrace &trace,
+                  predict::UpdateMode mode);
 
     template <predict::UpdateMode mode>
     void runTrace(const trace::SharingTrace &trace,
@@ -132,10 +169,24 @@ class BatchEvaluator
 
     std::vector<predict::SchemeSpec> schemes_;
     std::vector<Compiled> compiled_;
+    std::vector<Group> groups_;
     unsigned nNodes_;
     unsigned nodeBits_;
-    /** All predictor state, packed: scheme i owns
-     *  [compiled_[i].base, base + entries * entryWords). */
+    /** Sum of schemeStateWords over the batch: the words a full
+     *  2^indexBits table per scheme would take. */
+    std::size_t tableWords_ = 0;
+    /** Each group's entry id per event: ids_[g * events + seq]. */
+    std::vector<std::uint32_t> ids_;
+    /** Same layout, the learner's entry id under forwarded update
+     *  (the event's own id where it trains nothing). */
+    std::vector<std::uint32_t> learnIds_;
+    /** Dense-id map, raw index -> id (unmapped = ~0), sized for the
+     *  widest dense group so far; left all-unmapped after each group
+     *  by resetting exactly the raw indices in touched_. */
+    std::vector<std::uint32_t> slots_;
+    std::vector<std::uint32_t> touched_;
+    /** The current trace's predictor state: scheme i owns
+     *  [base, base + entries(group) * entryWords). */
     std::vector<std::uint64_t> state_;
     /** Per-event scratch for the address pass: each scheme's resolved
      *  entry (and, under forwarded update, update-entry) pointer. */
@@ -152,26 +203,34 @@ inline constexpr std::size_t maxSchemeStateWords = std::size_t(1)
                                                    << 38;
 
 /**
- * Packed predictor-state words one scheme needs in the event-major
- * kernel: table entries (2^indexBits) x words per entry.  This is the
- * footprint planBatches accumulates and the memory-budget guard
- * (common/mem_budget.hh) admits against — a close lower bound on the
- * reference kernel's PredictorTable as well (which adds per-entry
- * bookkeeping on top of the same state).  Fatal (exit, not wrap) for
- * schemes past maxSchemeStateWords or predict::maxTableIndexBits.
+ * Predictor-state words of one scheme's full table: 2^indexBits
+ * entries x words per entry.  The event-major kernel's dense state
+ * for a trace never exceeds it (a trace touches at most every entry),
+ * and its dense-id map is at most a quarter of the largest such table
+ * in the batch (one u32 per entry, and every family keeps at least
+ * two words per entry), so this is the footprint planBatches
+ * accumulates and the memory-budget guard (common/mem_budget.hh)
+ * admits against — a close lower bound on the reference kernel's
+ * PredictorTable as well (which adds per-entry bookkeeping on top of
+ * the same state).  Fatal (exit, not wrap) for schemes past
+ * maxSchemeStateWords or predict::maxTableIndexBits.
  */
 std::size_t schemeStateWords(const predict::SchemeSpec &scheme,
                              unsigned n_nodes);
 
 /**
  * Partition a scheme list into contiguous batches for the event-major
- * kernel: schemes accumulate into a batch until its packed state
- * would exceed @p max_state_words or @p max_schemes, so one in-flight
- * batch stays cache- and RAM-friendly even when the sweep space holds
- * large tables.  A single scheme larger than the budget still forms
- * its own batch.  Deterministic in the scheme list alone (never in
- * thread count), so batched sweep results cannot depend on worker
- * interleaving.
+ * kernel: schemes accumulate into a batch until its table state
+ * (schemeStateWords) would exceed @p max_state_words or
+ * @p max_schemes, so one in-flight batch stays cache- and RAM-friendly
+ * even when the sweep space holds large tables.  Cuts prefer IndexSpec
+ * group boundaries — a run of consecutive schemes on one IndexSpec
+ * that does not fit the current batch starts a new one — so each
+ * group's entry ids are built by one batch per trace.  A group that
+ * alone exceeds either limit still splits, scheme by scheme, and a
+ * single scheme larger than the budget still forms its own batch.
+ * Deterministic in the scheme list alone (never in thread count), so
+ * batched sweep results cannot depend on worker interleaving.
  *
  * @return half-open [first, last) index ranges covering the list.
  */

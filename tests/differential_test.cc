@@ -14,18 +14,25 @@
  * families (the perceptron with randomized weight widths, thresholds,
  * Bloom sizes, and hashed-vs-flat indexing) x history depths 1..4 x
  * all three update modes, on machines of 4, 16, and 64 nodes (the
- * last stressing full-width 64-bit sharing bitmaps).
+ * last stressing full-width 64-bit sharing bitmaps).  Both entry-id
+ * maps of the kernel — the raw index for tables small next to the
+ * trace, first-touch dense ids for wide ones — meet in one batch, and
+ * a zero-event trace must come out all zero.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
+#include "obs/registry.hh"
 #include "predict/evaluator.hh"
 #include "sweep/batch.hh"
 #include "sweep/name.hh"
+#include "sweep/parallel.hh"
 
 namespace {
 
@@ -332,6 +339,182 @@ TEST(Differential, StateIsClearedBetweenTraces)
 }
 
 // ---------------------------------------------------------------------
+// Entry ids: the identity map (raw index) for tables small next to
+// the trace, first-touch dense ids for wide ones, in one batch.
+
+/** Event pcs are 0x400 + 4k (k < 32): pc words 0x100 + k, low six
+ *  bits k.  Ghost writer pcs have pc words 0x20 + k, low six bits
+ *  32 + k, so no event ever predicts through their entry once six or
+ *  more pc bits index it. */
+constexpr Pc ghostPc(unsigned k) { return 4 * (0x20 + k); }
+
+/**
+ * A random trace in which every third event with a previous writer
+ * names a ghost writer (a pc no event stores from, a random pid), so
+ * forwarded update trains entries no event predicts through.
+ */
+SharingTrace
+ghostWriterTrace(Rng &rng, unsigned n_nodes, std::size_t events)
+{
+    SharingTrace tr = randomTrace(rng, n_nodes, events, "ghosts");
+    std::size_t i = 0;
+    for (CoherenceEvent &ev : tr.events()) {
+        if (ev.hasPrevWriter && i++ % 3 == 0) {
+            ev.prevWriterPid = static_cast<NodeId>(rng.below(n_nodes));
+            ev.prevWriterPc = ghostPc(unsigned(rng.below(32)));
+        }
+    }
+    return tr;
+}
+
+IndexSpec
+indexOf(bool pid, unsigned pc_bits, bool dir, unsigned addr_bits,
+        bool hashed = false)
+{
+    IndexSpec idx;
+    idx.usePid = pid;
+    idx.pcBits = pc_bits;
+    idx.useDir = dir;
+    idx.addrBits = addr_bits;
+    idx.hashed = hashed;
+    return idx;
+}
+
+void
+runIdMapDifferential(std::uint64_t seed, unsigned n_nodes)
+{
+    constexpr std::size_t events = 3000;
+    const unsigned node_bits = predict::nodeBitsFor(n_nodes);
+    // Tables of at most events / identityEventsPerEntry entries take
+    // the raw index as id; the rest are wider than log2(events) bits
+    // and take dense ids.
+    const std::vector<IndexSpec> identity = {
+        indexOf(false, 3, false, 0), indexOf(false, 0, false, 3),
+        indexOf(true, 0, false, 0), indexOf(false, 0, true, 1)};
+    const std::vector<IndexSpec> dense = {
+        indexOf(true, 8, false, 4), indexOf(false, 6, true, 6),
+        indexOf(false, 10, false, 4, true), indexOf(false, 0, false, 14)};
+
+    // Every family on every index, interleaved so one IndexSpec's
+    // schemes are not adjacent in the batch.
+    std::vector<IndexSpec> indices = identity;
+    indices.insert(indices.end(), dense.begin(), dense.end());
+    const std::pair<FunctionKind, unsigned> fns[] = {
+        {FunctionKind::Union, 1},       {FunctionKind::Inter, 2},
+        {FunctionKind::Union, 3},       {FunctionKind::OverlapLast, 1},
+        {FunctionKind::PAs, 2},         {FunctionKind::Perceptron, 2}};
+    std::vector<SchemeSpec> schemes;
+    for (const auto &[kind, depth] : fns)
+        for (const IndexSpec &idx : indices)
+            schemes.push_back(SchemeSpec{idx, kind, depth});
+
+    for (const IndexSpec &idx : identity)
+        ASSERT_LE((std::size_t(1) << idx.indexBits(node_bits)) *
+                      sweep::identityEventsPerEntry,
+                  events)
+            << idx.fieldsName();
+    for (const IndexSpec &idx : dense)
+        ASSERT_GT(std::size_t(1) << idx.indexBits(node_bits), events)
+            << idx.fieldsName();
+
+    Rng rng(seed);
+    const SharingTrace tr = ghostWriterTrace(rng, n_nodes, events);
+    // The ghosts must reach entries no event predicts through.
+    {
+        const IndexSpec &wide = dense.front();
+        std::set<std::uint64_t> predicting, learner_only;
+        for (const CoherenceEvent &ev : tr.events())
+            predicting.insert(wide.indexOf(ev, node_bits));
+        for (const CoherenceEvent &ev : tr.events())
+            if (ev.hasPrevWriter) {
+                const std::uint64_t idx =
+                    wide.index(ev.prevWriterPid, ev.prevWriterPc, ev.dir,
+                               ev.block, node_bits);
+                if (!predicting.count(idx))
+                    learner_only.insert(idx);
+            }
+        ASSERT_FALSE(learner_only.empty());
+    }
+
+    sweep::BatchEvaluator batch(schemes, n_nodes);
+    for (UpdateMode mode : kModes) {
+        auto got = batch.evaluateTrace(tr, mode);
+        ASSERT_EQ(got.size(), schemes.size());
+        for (std::size_t i = 0; i < schemes.size(); ++i)
+            expectExactMatch(got[i],
+                             predict::evaluateTrace(tr, schemes[i], mode),
+                             schemes[i], mode);
+    }
+}
+
+TEST(Differential, IdentityAndDenseIdsFourNodes)
+{
+    runIdMapDifferential(/*seed=*/61, /*n_nodes=*/4);
+}
+
+TEST(Differential, IdentityAndDenseIdsSixteenNodes)
+{
+    runIdMapDifferential(/*seed=*/67, /*n_nodes=*/16);
+}
+
+TEST(Differential, IdentityAndDenseIdsSixtyFourNodes)
+{
+    runIdMapDifferential(/*seed=*/71, /*n_nodes=*/64);
+}
+
+TEST(Differential, ZeroEventTraceIsAllZeroInEveryMode)
+{
+    Rng rng(73);
+    auto schemes = randomSchemes(rng, /*max_field_bits=*/3,
+                                 /*max_pas_depth=*/2);
+    const SharingTrace empty("empty", 16);
+    sweep::BatchEvaluator batch(schemes, 16);
+    for (UpdateMode mode : kModes) {
+        auto got = batch.evaluateTrace(empty, mode);
+        ASSERT_EQ(got.size(), schemes.size());
+        for (std::size_t i = 0; i < schemes.size(); ++i) {
+            EXPECT_EQ(got[i].decisions(), 0u);
+            expectExactMatch(
+                got[i], predict::evaluateTrace(empty, schemes[i], mode),
+                schemes[i], mode);
+        }
+    }
+}
+
+TEST(BatchStats, StateWordsAreDenseAndTableWordsFull)
+{
+    // One wide table over a short trace: the dense state is what the
+    // trace touches, far below the full table the stats also report.
+    Rng rng(79);
+    const SharingTrace tr = randomTrace(rng, 16, 500);
+    const std::vector<SchemeSpec> schemes = {
+        SchemeSpec{indexOf(true, 8, false, 8), FunctionKind::Union, 2},
+        SchemeSpec{indexOf(false, 2, false, 0), FunctionKind::Inter, 2}};
+    std::uint64_t table_words = 0;
+    for (const SchemeSpec &s : schemes)
+        table_words += sweep::schemeStateWords(s, 16);
+
+    obs::StatsRegistry reg;
+    {
+        obs::ScopedRegistry route(reg);
+        sweep::BatchEvaluator batch(schemes, 16);
+        batch.evaluateTrace(tr, UpdateMode::Forwarded);
+    }
+    const auto *state = reg.findCounter("batch.state_words");
+    const auto *table = reg.findCounter("batch.table_words");
+    ASSERT_NE(state, nullptr);
+    ASSERT_NE(table, nullptr);
+    EXPECT_EQ(table->value, table_words);
+    EXPECT_GT(state->value, 0u);
+    // <= 2 entries per event for the wide table (forwarded learners),
+    // the whole 4-entry table for the narrow one.
+    EXPECT_LE(state->value, 2 * 500 * 3 + 4 * 3);
+    const auto *ids = reg.findSummary("batch.id_build_seconds");
+    ASSERT_NE(ids, nullptr);
+    EXPECT_EQ(ids->count(), 1u);
+}
+
+// ---------------------------------------------------------------------
 // schemeStateWords overflow hardening: adversarial index widths must
 // die with a structured error instead of wrapping size_t and
 // under-allocating state.
@@ -426,6 +609,108 @@ TEST(PlanBatches, OversizedSchemeStillFormsItsOwnBatch)
     ASSERT_EQ(plan.size(), 2u);
     EXPECT_EQ(plan[0], (std::pair<std::size_t, std::size_t>{0, 1}));
     EXPECT_EQ(plan[1], (std::pair<std::size_t, std::size_t>{1, 2}));
+}
+
+/** Contiguous IndexSpec groups of the given sizes (group k indexed
+ *  by add(k+1)), each cycling through the window families. */
+std::vector<SchemeSpec>
+groupedSchemes(const std::vector<std::size_t> &sizes)
+{
+    std::vector<SchemeSpec> schemes;
+    for (std::size_t k = 0; k < sizes.size(); ++k)
+        for (std::size_t j = 0; j < sizes[k]; ++j)
+            schemes.push_back(
+                SchemeSpec{indexOf(false, 0, false, unsigned(k) + 1),
+                           j % 2 ? FunctionKind::Inter
+                                 : FunctionKind::Union,
+                           1 + unsigned(j % 4)});
+    return schemes;
+}
+
+TEST(PlanBatches, CutsAtIndexSpecGroupBoundariesWhenGroupsFit)
+{
+    auto schemes = groupedSchemes({5, 7, 3, 8, 6, 2, 5, 9, 1});
+    std::size_t largest_group_words = 0;
+    for (std::size_t g = 0; g < schemes.size();) {
+        std::size_t end = g, words = 0;
+        while (end < schemes.size() &&
+               schemes[end].index == schemes[g].index)
+            words += sweep::schemeStateWords(schemes[end++], 16);
+        largest_group_words = std::max(largest_group_words, words);
+        g = end;
+    }
+    // Under a scheme-count cap, then under a state-word cap, that
+    // every group fits alone.
+    for (const auto &[max_words, max_schemes] :
+         {std::pair<std::size_t, std::size_t>{std::size_t(4) << 20, 10},
+          {largest_group_words, 32}}) {
+        auto plan = sweep::planBatches(schemes, 16, max_words,
+                                       max_schemes);
+        ASSERT_GT(plan.size(), 1u);
+        for (const auto &[first, last] : plan) {
+            EXPECT_LE(last - first, max_schemes);
+            if (first > 0) {
+                EXPECT_NE(schemes[first - 1].index, schemes[first].index)
+                    << "cut inside a group at " << first;
+            }
+        }
+    }
+}
+
+TEST(PlanBatches, GroupLargerThanMaxSchemesStillSplits)
+{
+    auto schemes = groupedSchemes({3, 20, 4});
+    auto plan = sweep::planBatches(schemes, 16,
+                                   /*max_state_words=*/std::size_t(4)
+                                       << 20,
+                                   /*max_schemes=*/8);
+    // The 20-scheme group starts a batch and splits 8 + 8 + 4; its
+    // tail shares a batch with the next group, which fits.
+    const std::vector<std::pair<std::size_t, std::size_t>> want = {
+        {0, 3}, {3, 11}, {11, 19}, {19, 27}};
+    EXPECT_EQ(plan, want);
+}
+
+TEST(PlanBatches, PlanDoesNotDependOnThreadCount)
+{
+    // The sweep evaluates exactly planBatches' partition at every
+    // thread count, with identical results.
+    Rng rng(83);
+    auto schemes = groupedSchemes({6, 40, 3, 11, 2});
+    std::vector<SharingTrace> suite;
+    suite.push_back(randomTrace(rng, 16, 400, "alpha"));
+    suite.push_back(randomTrace(rng, 16, 300, "beta"));
+    const auto plan = sweep::planBatches(schemes, 16);
+    ASSERT_GE(plan.size(), 3u);
+
+    std::vector<predict::SuiteResult> first;
+    for (unsigned threads : {1u, 3u, 8u}) {
+        obs::StatsRegistry reg;
+        std::vector<predict::SuiteResult> got;
+        {
+            obs::ScopedRegistry route(reg);
+            got = sweep::ParallelSweep(threads,
+                                       sweep::SweepKernel::Batched)
+                      .evaluate(suite, schemes, UpdateMode::Forwarded);
+        }
+        const auto *batches = reg.findCounter("sweep.batches_evaluated");
+        ASSERT_NE(batches, nullptr);
+        EXPECT_EQ(batches->value, plan.size()) << threads << " threads";
+        const auto *walks = reg.findCounter("batch.trace_walks");
+        ASSERT_NE(walks, nullptr);
+        EXPECT_EQ(walks->value, plan.size() * suite.size());
+        EXPECT_EQ(sweep::planBatches(schemes, 16), plan);
+        ASSERT_EQ(got.size(), schemes.size());
+        if (first.empty()) {
+            first = std::move(got);
+            continue;
+        }
+        for (std::size_t i = 0; i < schemes.size(); ++i)
+            for (std::size_t t = 0; t < suite.size(); ++t)
+                expectExactMatch(got[i].perTrace[t].confusion,
+                                 first[i].perTrace[t].confusion,
+                                 schemes[i], UpdateMode::Forwarded);
+    }
 }
 
 } // namespace
