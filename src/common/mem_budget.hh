@@ -15,15 +15,14 @@
  * per scheme, not what the batched kernel allocates.  Its per-trace
  * state holds whole tables only where they are small next to the
  * trace and otherwise just the entries the trace touches, never more
- * than that bound.  Its dense-id slot array (one u32 per entry of the
- * widest dense table, against at least two words per entry of each
- * scheme on it) is at most a quarter of one charged table.  It is
- * covered by the bound whenever the trace leaves that much of its
- * dense tables untouched — the usual case, since only tables large
- * next to the trace are mapped densely — and otherwise exceeds it by
- * at most that quarter.  The per-event id arrays scale with the
- * trace, not the schemes (4 bytes per event and dense index group, 8
- * under forwarded update), and are not charged.
+ * than that bound.  On top of it, an index group that maps a trace
+ * densely keeps a u32 slot array over its table and a reset list of
+ * at most table/8 u32s: 4.5 bytes per entry, at most 9/32 of one
+ * charged table of that group (every family keeps at least two words
+ * per entry).  No state or id array grows with the trace length past
+ * these bounds (sweep::BatchEvaluator::footprintBytes()), so the
+ * charge bounds a batch's memory up to that fraction, which the
+ * untouched part of a densely mapped table usually covers.
  *
  * The budget bounds the footprint of ONE in-flight batch; with T
  * worker threads total predictor state is bounded by T x budget.

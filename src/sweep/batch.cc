@@ -48,6 +48,20 @@ checkedSchemeStateWords(unsigned bits, std::size_t entry_words)
 /** The unmapped slot of the dense-id map. */
 constexpr std::uint32_t unmappedId = ~std::uint32_t(0);
 
+/** A dense group's reset list holds up to 1/8 of its table's raw
+ *  indices; a trace that touches more refills the slot array, which
+ *  then costs no more than walking the list would. */
+constexpr std::size_t maxResetListFraction = 8;
+
+/** Prefetch (for write) every cache line of a @p words-word block. */
+inline void
+prefetchBlock(std::uint64_t *block, std::size_t words)
+{
+    __builtin_prefetch(block, 1);
+    for (std::size_t w = 8; w < words; w += 8)
+        __builtin_prefetch(block + w, 1);
+}
+
 } // namespace
 
 BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
@@ -97,90 +111,72 @@ BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
             Group g;
             g.plan = predict::makeIndexPlan(s.index, nodeBits_);
             g.bits = bits;
-            groups_.push_back(g);
+            groups_.push_back(std::move(g));
         }
+        c.offset = groups_[c.group].stride;
+        groups_[c.group].stride += c.entryWords;
         compiled_.push_back(std::move(c));
     }
-    entryScratch_.assign(compiled_.size(), nullptr);
-    updScratch_.assign(compiled_.size(), nullptr);
+    rawScratch_.assign(groups_.size(), 0);
+    learnRawScratch_.assign(groups_.size(), 0);
+    entryScratch_.assign(groups_.size(), nullptr);
+    updScratch_.assign(groups_.size(), nullptr);
 }
 
 void
-BatchEvaluator::buildIds(const trace::SharingTrace &trace,
-                         UpdateMode mode)
+BatchEvaluator::startTrace(std::size_t n_events, UpdateMode mode)
 {
-    const auto &events = trace.events();
-    const std::size_t n_events = events.size();
-    const std::size_t n_groups = groups_.size();
-    // Dense ids count at most two raw indices per event, and must
-    // stay below unmappedId.
+    // Dense ids count at most two raw indices per event (the event's
+    // own and, under forwarded update, its learner's), and must stay
+    // below unmappedId.
     ccp_assert(n_events < (std::size_t(1) << 31),
                "trace of ", n_events, " events is too long for u32 ids");
-    const bool learns = predict::learnsFromPrevWriter(mode);
-    ids_.resize(n_events * n_groups);
-    if (learns)
-        learnIds_.resize(n_events * n_groups);
-    std::uint32_t *const ids = ids_.data();
-    std::uint32_t *const learn_ids = learnIds_.data();
-
-    // Pass 1, one walk over the trace: every group's raw table index
-    // (raw indices fit u32: at most maxTableIndexBits wide).  The
-    // learner's is the event's own where the event trains nothing.
-    for (std::size_t seq = 0; seq < n_events; ++seq) {
-        const trace::CoherenceEvent &ev = events[seq];
-        const std::uint64_t pcw = ev.pc >> 2;
-        const predict::Learner who = predict::learner(ev, mode);
-        const bool learns_first = predict::learnsFirst(ev, mode);
-        for (std::size_t g = 0; g < n_groups; ++g) {
-            const predict::IndexPlan &plan = groups_[g].plan;
-            const auto raw = static_cast<std::uint32_t>(
-                plan.fromWords(ev.pid, pcw, ev.dir, ev.block));
-            const std::size_t at = g * n_events + seq;
-            ids[at] = raw;
-            if (learns)
-                learn_ids[at] =
-                    learns_first
-                        ? static_cast<std::uint32_t>(plan.fromWords(
-                              who.pid, who.pc >> 2, ev.dir, ev.block))
-                        : raw;
+    const std::size_t max_ids =
+        n_events * (predict::learnsFromPrevWriter(mode) ? 2 : 1);
+    for (Group &g : groups_) {
+        const std::size_t table = std::size_t(1) << g.bits;
+        // Leave the last dense trace's slots all unmapped: through
+        // the reset list if it held every id, else by a refill.
+        if (g.entries <= g.raws.size()) {
+            for (std::uint32_t i = 0; i < g.entries; ++i)
+                g.slots[g.raws[i]] = unmappedId;
+        } else {
+            std::fill(g.slots.begin(), g.slots.end(), unmappedId);
+        }
+        g.entries = 0;
+        g.identity = table * identityEventsPerEntry <= n_events;
+        // Dense state is appended (and zeroed) by first touch, at
+        // most one entry per raw index the trace can reach.
+        const std::size_t entries =
+            g.identity ? table : std::min(table, max_ids);
+        if (g.stateCap < entries * g.stride) {
+            g.stateCap = entries * g.stride;
+            g.stateBuf =
+                std::make_unique_for_overwrite<std::uint64_t[]>(g.stateCap);
+        }
+        g.state = g.stateBuf.get();
+        if (g.identity) {
+            std::fill_n(g.state, table * g.stride, 0);
+        } else if (g.slots.empty() && n_events > 0) {
+            g.slots.assign(table, unmappedId);
+            g.raws.resize(table / maxResetListFraction);
         }
     }
+}
 
-    // Pass 2: a group whose table is large next to the trace
-    // renumbers its raw indices densely, by first touch.
-    for (std::size_t g = 0; g < n_groups; ++g) {
-        Group &grp = groups_[g];
-        const std::size_t table = std::size_t(1) << grp.bits;
-        if (n_events == 0) { // an empty trace touches nothing
-            grp.entries = 0;
-            continue;
-        }
-        if (table * identityEventsPerEntry <= n_events) {
-            grp.entries = table;
-            continue;
-        }
-        if (slots_.size() < table)
-            slots_.assign(table, unmappedId);
-        std::uint32_t *const slots = slots_.data();
-        touched_.clear();
-        const auto renumber = [&](std::uint32_t &id) {
-            std::uint32_t &slot = slots[id];
-            if (slot == unmappedId) {
-                slot = static_cast<std::uint32_t>(touched_.size());
-                touched_.push_back(id);
-            }
-            id = slot;
-        };
-        for (std::size_t at = g * n_events; at < (g + 1) * n_events;
-             ++at) {
-            renumber(ids[at]);
-            if (learns)
-                renumber(learn_ids[at]);
-        }
-        grp.entries = touched_.size();
-        for (std::uint32_t raw : touched_)
-            slots[raw] = unmappedId;
+inline std::uint64_t
+BatchEvaluator::denseId(Group &g, std::uint64_t raw)
+{
+    std::uint32_t &slot = g.slots[raw];
+    if (slot == unmappedId) [[unlikely]] {
+        slot = g.entries;
+        if (g.entries < g.raws.size())
+            g.raws[g.entries] = static_cast<std::uint32_t>(raw);
+        std::fill_n(g.state + std::size_t(g.entries) * g.stride, g.stride,
+                    0);
+        ++g.entries;
     }
+    return slot;
 }
 
 template <UpdateMode mode>
@@ -251,53 +247,110 @@ void
 BatchEvaluator::runTrace(const trace::SharingTrace &trace,
                          const std::vector<SharingBitmap> &ordered_fb)
 {
+    constexpr bool learns = predict::learnsFromPrevWriter(mode);
     const std::uint64_t mask = SharingBitmap::all(nNodes_).raw();
-    std::uint64_t *const state = state_.data();
+    Group *const groups = groups_.data();
+    const std::size_t n_groups = groups_.size();
     Compiled *const compiled = compiled_.data();
     const std::size_t n_schemes = compiled_.size();
+    const std::vector<trace::CoherenceEvent> &events = trace.events();
+    const std::size_t n_events = events.size();
+    if (n_events == 0)
+        return;
 
+    std::uint64_t *const raw_at = rawScratch_.data();
+    std::uint64_t *const learn_raw_at = learnRawScratch_.data();
     std::uint64_t **const ent = entryScratch_.data();
     std::uint64_t **const upd_ptr = updScratch_.data();
 
-    EventSeq seq = 0;
-    for (const trace::CoherenceEvent &ev_ref : trace.events()) {
+    // Where a raw index leads: prefetched one event ahead, the slot of
+    // a dense group (the entry follows once the id is known) or the
+    // entry of an identity group.
+    const auto prefetch_raw = [](const Group &grp, std::uint64_t raw) {
+        if (grp.identity)
+            __builtin_prefetch(grp.state + raw * grp.stride, 1);
+        else
+            __builtin_prefetch(grp.slots.data() + raw, 1);
+    };
+    {
+        const trace::CoherenceEvent &ev = events[0];
+        const predict::Learner who = predict::learner(ev, mode);
+        for (std::size_t g = 0; g < n_groups; ++g) {
+            raw_at[g] = groups[g].plan.fromWords(ev.pid, ev.pc >> 2,
+                                                 ev.dir, ev.block);
+            learn_raw_at[g] = groups[g].plan.fromWords(
+                who.pid, who.pc >> 2, ev.dir, ev.block);
+        }
+    }
+
+    for (std::size_t seq = 0; seq < n_events; ++seq) {
         // Decode once per event, not once per (event, scheme); the
         // local copy cannot alias the state the schemes write.
-        const trace::CoherenceEvent ev = ev_ref;
+        const trace::CoherenceEvent ev = events[seq];
         const std::uint64_t actual = ev.readers.raw() & mask;
         const std::uint64_t actual_pop = std::popcount(actual);
+        const bool learns_first = learns && predict::learnsFirst(ev, mode);
         const SharingBitmap fb_ordered =
             mode == UpdateMode::Ordered ? ordered_fb[seq] : SharingBitmap();
+        // The next event's fields (the last event looks at itself).
+        const trace::CoherenceEvent &next =
+            events[seq + 1 < n_events ? seq + 1 : seq];
+        const std::uint64_t next_pid = next.pid;
+        const std::uint64_t next_pcw = next.pc >> 2;
+        const std::uint64_t next_dir = next.dir;
+        const std::uint64_t next_block = next.block;
+        const bool next_learns_first =
+            learns && predict::learnsFirst(next, mode);
+        const predict::Learner next_who = predict::learner(next, mode);
 
-        // Address pass: resolve (and prefetch) every scheme's entry
-        // from its group's id before any is touched, so the
-        // per-scheme cache misses overlap instead of serializing
-        // behind each other.  Under forwarded update the learner's
-        // entry is resolved too.
-        for (std::size_t i = 0; i < n_schemes; ++i) {
-            const Compiled &c = compiled[i];
-            std::uint64_t *const slice = state + c.base;
-            std::uint64_t *const entry =
-                slice + std::size_t(c.ids[seq]) * c.entryWords;
-            ent[i] = entry;
-            __builtin_prefetch(entry, 1);
-            if (predict::learnsFromPrevWriter(mode)) {
-                std::uint64_t *const upd =
-                    slice + std::size_t(c.learnIds[seq]) * c.entryWords;
-                upd_ptr[i] = upd;
-                __builtin_prefetch(upd, 1);
+        // Address pass: per index group, this event's entry block
+        // (dense ids assigned on first touch) is resolved and
+        // prefetched before any scheme touches it, and the next
+        // event's raw index is computed — one plan evaluation per
+        // group, shared by all its schemes.  When the learner is not
+        // the current writer and the event trains it, its block
+        // (same dir/block, different identity fields) is resolved
+        // too.
+        for (std::size_t g = 0; g < n_groups; ++g) {
+            Group &grp = groups[g];
+            std::uint64_t id = raw_at[g];
+            if (!grp.identity)
+                id = denseId(grp, id);
+            std::uint64_t *const entry = grp.state + id * grp.stride;
+            ent[g] = entry;
+            prefetchBlock(entry, grp.stride);
+            if (learns) {
+                std::uint64_t *upd = entry;
+                if (learns_first) {
+                    std::uint64_t learn_id = learn_raw_at[g];
+                    if (!grp.identity)
+                        learn_id = denseId(grp, learn_id);
+                    upd = grp.state + learn_id * grp.stride;
+                    prefetchBlock(upd, grp.stride);
+                }
+                upd_ptr[g] = upd;
+            }
+
+            const std::uint64_t next_raw = grp.plan.fromWords(
+                next_pid, next_pcw, next_dir, next_block);
+            raw_at[g] = next_raw;
+            prefetch_raw(grp, next_raw);
+            if (next_learns_first) {
+                const std::uint64_t next_learn_raw = grp.plan.fromWords(
+                    next_who.pid, next_who.pc >> 2, next_dir, next_block);
+                learn_raw_at[g] = next_learn_raw;
+                prefetch_raw(grp, next_learn_raw);
             }
         }
 
         for (std::size_t i = 0; i < n_schemes; ++i) {
             Compiled &c = compiled[i];
-            std::uint64_t *const entry = ent[i];
+            std::uint64_t *const entry = ent[c.group] + c.offset;
             std::uint64_t *const upd =
-                predict::learnsFromPrevWriter(mode) ? upd_ptr[i] : entry;
+                learns ? upd_ptr[c.group] + c.offset : entry;
             stepScheme<mode>(c, entry, upd, ev, fb_ordered, mask, actual,
                              actual_pop);
         }
-        ++seq;
     }
 }
 
@@ -308,23 +361,9 @@ BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
     ccp_assert(trace.nNodes() == nNodes_,
                "batch compiled for ", nNodes_, " nodes, trace has ",
                trace.nNodes());
-    obs::Stopwatch id_watch;
-    buildIds(trace, mode);
-    const double id_sec = id_watch.elapsedSec();
-
-    // Carve each scheme's dense state from the reused buffer; only
-    // this trace's extent is zeroed.
-    const std::size_t n_events = trace.events().size();
-    const bool learns = predict::learnsFromPrevWriter(mode);
-    std::size_t words = 0;
-    for (Compiled &c : compiled_) {
-        c.ids = ids_.data() + c.group * n_events;
-        c.learnIds = learns ? learnIds_.data() + c.group * n_events : c.ids;
-        c.base = words;
-        words += groups_[c.group].entries * c.entryWords;
+    startTrace(trace.events().size(), mode);
+    for (Compiled &c : compiled_)
         c.tp = c.fp = c.fn = 0;
-    }
-    state_.assign(words, 0);
 
     std::vector<SharingBitmap> ordered_fb;
     if (mode == UpdateMode::Ordered)
@@ -350,9 +389,12 @@ BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
     auto &reg = obs::StatsRegistry::current();
     reg.counter("batch.trace_walks") += 1;
     reg.counter("batch.scheme_events") += scheme_events;
-    reg.counter("batch.state_words") += state_.size();
+    std::uint64_t state_words = 0;
+    for (const Group &g : groups_)
+        state_words += (g.identity ? std::size_t(1) << g.bits : g.entries) *
+                       g.stride;
+    reg.counter("batch.state_words") += state_words;
     reg.counter("batch.table_words") += tableWords_;
-    reg.summary("batch.id_build_seconds").add(id_sec);
     reg.summary("batch.trace_seconds").add(sec);
     if (sec > 0.0 && scheme_events > 0)
         reg.summary("batch.scheme_events_per_sec")
@@ -387,6 +429,17 @@ BatchEvaluator::evaluateSuite(
         }
     }
     return results;
+}
+
+std::size_t
+BatchEvaluator::footprintBytes() const
+{
+    std::size_t bytes = 0;
+    for (const Group &g : groups_)
+        bytes += g.stateCap * sizeof(std::uint64_t) +
+                 (g.slots.capacity() + g.raws.capacity()) *
+                     sizeof(std::uint32_t);
+    return bytes;
 }
 
 std::size_t

@@ -11,16 +11,16 @@
  * This kernel inverts the loop: each trace event is decoded exactly
  * once and driven through *all* schemes of a batch.
  *
- *  - Schemes are grouped by IndexSpec.  Per trace, each group's
- *    predict::IndexPlan is evaluated once per event into a u32 entry
- *    id (and, under forwarded update, one for the learner's tuple)
- *    shared by every scheme of the group.
- *  - Predictor state is dense per trace: ids are first-touch dense
- *    numbers, so each scheme's state is (distinct entries the trace
- *    touches) x entryWords words, carved from one reused buffer of
- *    which only that extent is zeroed.  Tables small next to the
- *    trace use the raw index as the id instead (see
- *    identityEventsPerEntry).
+ *  - Schemes are grouped by IndexSpec.  Per event, each group's
+ *    predict::IndexPlan is evaluated once (and, under forwarded
+ *    update, once more for the learner's tuple), and the entry id it
+ *    yields is shared by every scheme of the group.
+ *  - Predictor state is dense per trace: ids are numbered by first
+ *    touch, so a group's state is (distinct entries the trace
+ *    touches) x (its schemes' entry words, side by side), each entry
+ *    zeroed when its id is handed out.  Tables small next to the
+ *    trace use the raw index as the id instead, over a zeroed whole
+ *    table (see identityEventsPerEntry).
  *  - Prediction functions are dispatched by a flat opcode (no virtual
  *    calls for the window families that dominate the design space:
  *    the kernel calls the shared inline window and overlap-last
@@ -57,8 +57,9 @@ namespace ccp::sweep {
  * events / identityEventsPerEntry entries uses the raw index as its
  * entry id (the trace is long enough that zeroing the whole table
  * costs less than mapping ids densely); wider tables get first-touch
- * dense ids.  A fixed rule on the trace length, so the same batch and
- * trace always take the same path.
+ * dense ids through a raw index -> id slot array.  A fixed rule on
+ * the trace length, so the same batch and trace always take the same
+ * path.
  */
 inline constexpr std::uint64_t identityEventsPerEntry = 16;
 
@@ -67,9 +68,9 @@ inline constexpr std::uint64_t identityEventsPerEntry = 16;
  *
  * Construction compiles every scheme (opcode, entry size) and groups
  * the batch by IndexSpec, one compiled index plan per group;
- * evaluateTrace() then builds each group's entry ids and walks the
- * trace once for the whole batch.  The batch owns all predictor
- * state; a fresh trace starts from zeroed state (the same
+ * evaluateTrace() then walks the trace once for the whole batch,
+ * mapping each group's entry ids as it goes.  The batch owns all
+ * predictor state; a fresh trace starts from zeroed state (the same
  * fresh-table-per-trace semantics as the reference evaluateSuite
  * path).
  */
@@ -105,6 +106,14 @@ class BatchEvaluator
     evaluateSuite(const std::vector<trace::SharingTrace> &traces,
                   predict::UpdateMode mode);
 
+    /**
+     * Bytes of predictor state and dense-id maps the batch holds now.
+     * Whatever the trace length, at most the schemes' full tables
+     * (schemeStateWords) plus 4.5 bytes per entry of each index
+     * group's table once the group has mapped a trace densely.
+     */
+    std::size_t footprintBytes() const;
+
   private:
     /** Flat function dispatch: the batched kernel's opcode. */
     enum class Op : std::uint8_t
@@ -117,30 +126,46 @@ class BatchEvaluator
         Perceptron,  ///< hashed perceptron (via PerceptronFunction)
     };
 
-    /** The schemes of one IndexSpec: their shared plan and ids. */
+    /** The schemes of one IndexSpec: their shared plan, entry ids
+     *  and state. */
     struct Group
     {
         predict::IndexPlan plan;
+        /** Words per entry id: every member scheme's entry, side by
+         *  side in batch order. */
+        std::size_t stride = 0;
+        /** The current trace's state: entry id k holds the members'
+         *  entries at state[k * stride, (k + 1) * stride). */
+        std::uint64_t *state = nullptr;
+        /** The current trace uses the raw index as the entry id;
+         *  otherwise ids are dense, numbered by first touch. */
+        bool identity = false;
+        /** Dense ids handed out so far this trace. */
+        std::uint32_t entries = 0;
         unsigned bits = 0;
-        /** Entries the current trace's ids address. */
-        std::size_t entries = 0;
+        /** Dense ids: raw index -> id (unmapped = ~0), sized on the
+         *  group's first dense trace, and the reset list: the raw
+         *  index of each of the first table / 8 ids, which returns
+         *  slots to all-unmapped for the next trace (a trace with
+         *  more ids refills slots instead). */
+        std::vector<std::uint32_t> slots;
+        std::vector<std::uint32_t> raws;
+        /** Backing store of state, reused across traces; only the
+         *  words a trace's ids reach are written. */
+        std::unique_ptr<std::uint64_t[]> stateBuf;
+        std::size_t stateCap = 0;
     };
 
-    /** One compiled scheme: group + opcode + state extent. */
+    /** One compiled scheme: group + opcode + entry layout. */
     struct Compiled
     {
         /** This scheme's index group in groups_. */
         std::size_t group = 0;
+        /** Offset of this scheme's entry within its group's stride. */
+        std::size_t offset = 0;
         Op op = Op::Last;
         unsigned depth = 1;
         std::size_t entryWords = 0;
-        /** Offset of this scheme's state in state_ for the current
-         *  trace (entries x entryWords words from there). */
-        std::size_t base = 0;
-        /** The current trace's entry ids of this scheme's group, and
-         *  its learner ids (the same ids unless forwarded). */
-        const std::uint32_t *ids = nullptr;
-        const std::uint32_t *learnIds = nullptr;
         /** Concrete function, PAs only (word layout lives there). */
         std::shared_ptr<const predict::PAsFunction> pas;
         /** Concrete function, perceptron only (same reason). */
@@ -149,10 +174,13 @@ class BatchEvaluator
         std::uint64_t tp = 0, fp = 0, fn = 0;
     };
 
-    /** Fill ids_ (and learnIds_ under forwarded update) for
-     *  @p trace and set every group's entry count. */
-    void buildIds(const trace::SharingTrace &trace,
-                  predict::UpdateMode mode);
+    /** Reset every group's ids and state for a trace of @p n_events
+     *  events, picking identity or dense ids per group. */
+    void startTrace(std::size_t n_events, predict::UpdateMode mode);
+
+    /** Group @p g's dense id for raw index @p raw, assigned (and its
+     *  entries zeroed) on first touch. */
+    static std::uint64_t denseId(Group &g, std::uint64_t raw);
 
     template <predict::UpdateMode mode>
     void runTrace(const trace::SharingTrace &trace,
@@ -175,21 +203,11 @@ class BatchEvaluator
     /** Sum of schemeStateWords over the batch: the words a full
      *  2^indexBits table per scheme would take. */
     std::size_t tableWords_ = 0;
-    /** Each group's entry id per event: ids_[g * events + seq]. */
-    std::vector<std::uint32_t> ids_;
-    /** Same layout, the learner's entry id under forwarded update
-     *  (the event's own id where it trains nothing). */
-    std::vector<std::uint32_t> learnIds_;
-    /** Dense-id map, raw index -> id (unmapped = ~0), sized for the
-     *  widest dense group so far; left all-unmapped after each group
-     *  by resetting exactly the raw indices in touched_. */
-    std::vector<std::uint32_t> slots_;
-    std::vector<std::uint32_t> touched_;
-    /** The current trace's predictor state: scheme i owns
-     *  [base, base + entries(group) * entryWords). */
-    std::vector<std::uint64_t> state_;
-    /** Per-event scratch for the address pass: each scheme's resolved
-     *  entry (and, under forwarded update, update-entry) pointer. */
+    /** Per-event scratch for the address pass: each group's raw
+     *  index for the next event (and its learner's), then its entry
+     *  block for this one (and the learner's). */
+    std::vector<std::uint64_t> rawScratch_;
+    std::vector<std::uint64_t> learnRawScratch_;
     std::vector<std::uint64_t *> entryScratch_;
     std::vector<std::uint64_t *> updScratch_;
 };
@@ -204,15 +222,14 @@ inline constexpr std::size_t maxSchemeStateWords = std::size_t(1)
 
 /**
  * Predictor-state words of one scheme's full table: 2^indexBits
- * entries x words per entry.  The event-major kernel's dense state
- * for a trace never exceeds it (a trace touches at most every entry),
- * and its dense-id map is at most a quarter of the largest such table
- * in the batch (one u32 per entry, and every family keeps at least
- * two words per entry), so this is the footprint planBatches
- * accumulates and the memory-budget guard (common/mem_budget.hh)
- * admits against — a close lower bound on the reference kernel's
- * PredictorTable as well (which adds per-entry bookkeeping on top of
- * the same state).  Fatal (exit, not wrap) for schemes past
+ * entries x words per entry.  The event-major kernel's state for a
+ * trace never exceeds it (a trace touches at most every entry), and
+ * its dense-id maps take 4.5 bytes per table entry, at most 9/32 of
+ * one such table (every family keeps at least two words per entry);
+ * this is the footprint planBatches accumulates and the memory-budget
+ * guard (common/mem_budget.hh) admits against — a close lower bound
+ * on the reference kernel's PredictorTable as well (which adds
+ * per-entry bookkeeping on top of the same state).  Fatal (exit, not wrap) for schemes past
  * maxSchemeStateWords or predict::maxTableIndexBits.
  */
 std::size_t schemeStateWords(const predict::SchemeSpec &scheme,
@@ -226,7 +243,7 @@ std::size_t schemeStateWords(const predict::SchemeSpec &scheme,
  * even when the sweep space holds large tables.  Cuts prefer IndexSpec
  * group boundaries — a run of consecutive schemes on one IndexSpec
  * that does not fit the current batch starts a new one — so each
- * group's entry ids are built by one batch per trace.  A group that
+ * group's entry ids are mapped by one batch per trace.  A group that
  * alone exceeds either limit still splits, scheme by scheme, and a
  * single scheme larger than the budget still forms its own batch.
  * Deterministic in the scheme list alone (never in thread count), so

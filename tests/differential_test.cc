@@ -509,9 +509,38 @@ TEST(BatchStats, StateWordsAreDenseAndTableWordsFull)
     // <= 2 entries per event for the wide table (forwarded learners),
     // the whole 4-entry table for the narrow one.
     EXPECT_LE(state->value, 2 * 500 * 3 + 4 * 3);
-    const auto *ids = reg.findSummary("batch.id_build_seconds");
-    ASSERT_NE(ids, nullptr);
-    EXPECT_EQ(ids->count(), 1u);
+}
+
+TEST(BatchStats, FootprintIsBoundedByTheTablesAtAnyTraceLength)
+{
+    // Identity and dense index groups under forwarded update (two ids
+    // per event): however long the trace, the batch holds at most its
+    // full tables plus 4.5 bytes per table entry of id maps, so the
+    // admission charge (schemeStateWords) keeps bounding it.
+    const unsigned node_bits = predict::nodeBitsFor(16);
+    const std::vector<IndexSpec> indices = {
+        indexOf(false, 3, false, 0),       indexOf(true, 0, false, 2),
+        indexOf(false, 0, true, 4),        indexOf(true, 4, false, 2),
+        indexOf(true, 8, false, 4),        indexOf(false, 6, true, 6),
+        indexOf(false, 10, false, 4, true), indexOf(false, 0, false, 14)};
+    std::vector<SchemeSpec> schemes;
+    std::size_t bound = 0;
+    for (const IndexSpec &idx : indices) {
+        schemes.push_back(SchemeSpec{idx, FunctionKind::Union, 2});
+        schemes.push_back(SchemeSpec{idx, FunctionKind::PAs, 2});
+        bound += (std::size_t(1) << idx.indexBits(node_bits)) * 9 / 2;
+    }
+    for (const SchemeSpec &s : schemes)
+        bound += sweep::schemeStateWords(s, 16) * 8;
+
+    sweep::BatchEvaluator batch(schemes, 16);
+    Rng rng(83);
+    for (std::size_t events : {1000, 20000, 200000}) {
+        const SharingTrace tr = randomTrace(rng, 16, events);
+        batch.evaluateTrace(tr, UpdateMode::Forwarded);
+        EXPECT_GT(batch.footprintBytes(), 0u);
+        EXPECT_LE(batch.footprintBytes(), bound) << events << " events";
+    }
 }
 
 // ---------------------------------------------------------------------
