@@ -229,8 +229,9 @@ inline constexpr std::size_t maxSchemeStateWords = std::size_t(1)
  * this is the footprint planBatches accumulates and the memory-budget
  * guard (common/mem_budget.hh) admits against — a close lower bound
  * on the reference kernel's PredictorTable as well (which adds
- * per-entry bookkeeping on top of the same state).  Fatal (exit, not wrap) for schemes past
- * maxSchemeStateWords or predict::maxTableIndexBits.
+ * per-entry bookkeeping on top of the same state).  Fatal (exit, not
+ * wrap) for schemes past maxSchemeStateWords or
+ * predict::maxTableIndexBits.
  */
 std::size_t schemeStateWords(const predict::SchemeSpec &scheme,
                              unsigned n_nodes);
