@@ -13,19 +13,26 @@
  * exiting non-zero if the batched kernel is slower than the
  * reference.  Two learned-family legs follow, 12 PAs and 12
  * perceptron schemes on the same trace, each cross-checked against
- * the reference and recorded for bench_compare's per-family gate.
- * Pass --benchmark_filter='^$' to run only the gate.
+ * the reference and timed against that family's frozen scalar model
+ * (tests/scalar_models.hh) on the same schemes, the denominator of
+ * bench_compare's per-family gate.  Pass --benchmark_filter='^$' to
+ * run only the gate.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <malloc.h>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
@@ -36,6 +43,7 @@
 #include "sweep/batch.hh"
 #include "sweep/name.hh"
 #include "sweep/parallel.hh"
+#include "scalar_models.hh"
 #include "workloads/registry.hh"
 
 namespace {
@@ -397,6 +405,74 @@ cpuModel()
     return "unknown";
 }
 
+/**
+ * A learned family's frozen scalar model swept over @p fam on @p tr
+ * under direct update, one scheme at a time: each scheme's table is
+ * a lazily built model per entry (@p make(scheme, nodes)), indexed by
+ * IndexSpec::index.  @return each scheme's confusion counts (the
+ * kernels' own).
+ */
+template <class Make>
+std::vector<predict::Confusion>
+scalarSweep(const trace::SharingTrace &tr,
+            const std::vector<predict::SchemeSpec> &fam, Make &&make)
+{
+    using Model = std::invoke_result_t<Make, const predict::SchemeSpec &,
+                                       unsigned>;
+    const auto mode = predict::UpdateMode::Direct;
+    const unsigned n_nodes = tr.nNodes();
+    const unsigned node_bits = predict::nodeBitsFor(n_nodes);
+    const std::uint64_t mask = SharingBitmap::all(n_nodes).raw();
+    std::vector<predict::Confusion> confs;
+    for (const predict::SchemeSpec &s : fam) {
+        std::vector<std::optional<Model>> table(
+            std::size_t(1) << s.index.indexBits(node_bits));
+        const auto at = [&](NodeId pid, Pc pc, NodeId dir,
+                            Addr block) -> Model & {
+            std::optional<Model> &slot =
+                table[s.index.index(pid, pc, dir, block, node_bits)];
+            if (!slot)
+                slot.emplace(make(s, n_nodes));
+            return *slot;
+        };
+        std::uint64_t tp = 0, fp = 0, fn = 0;
+        for (const trace::CoherenceEvent &ev : tr.events()) {
+            const predict::Learner who = predict::learner(ev, mode);
+            const std::uint64_t pred =
+                predict::stepWith(
+                    ev, mode, SharingBitmap(),
+                    [&] {
+                        return at(ev.pid, ev.pc, ev.dir, ev.block)
+                            .predict();
+                    },
+                    [&](SharingBitmap fb) {
+                        at(who.pid, who.pc, ev.dir, ev.block)
+                            .update(fb.raw());
+                    }) &
+                mask;
+            const std::uint64_t actual = ev.readers.raw() & mask;
+            tp += std::popcount(pred & actual);
+            fp += std::popcount(pred & ~actual);
+            fn += std::popcount(actual & ~pred);
+        }
+        confs.push_back(predict::Confusion::fromPositives(
+            tp, fp, fn, tr.events().size() * n_nodes));
+    }
+    return confs;
+}
+
+/** Wall-clock seconds of one call of @p fn. */
+template <typename Fn>
+double
+secondsOf(Fn &&fn)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    return dt.count();
+}
+
 /** Wall-clock best-of-@p reps for one sweep over the fixture. */
 template <typename Fn>
 double
@@ -404,14 +480,41 @@ bestOf(unsigned reps, Fn &&fn)
 {
     double best = 0;
     for (unsigned r = 0; r < reps; ++r) {
-        auto t0 = std::chrono::steady_clock::now();
-        fn();
-        std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        if (r == 0 || dt.count() < best)
-            best = dt.count();
+        const double s = secondsOf(fn);
+        if (r == 0 || s < best)
+            best = s;
     }
     return best;
+}
+
+/**
+ * Best-of-@p reps seconds of two legs whose ratio the gate reads, run
+ * alternately: a slow spell on a shared host (a busy sibling
+ * hyperthread, say) then hits both legs instead of every rep of one.
+ * @p toggle(true) runs untimed before each b leg, and
+ * @p toggle(false) after it.
+ */
+template <typename A, typename B, typename Toggle>
+std::pair<double, double>
+bestOfAlternating(unsigned reps, A &&a, B &&b, Toggle &&toggle)
+{
+    double best_a = 0, best_b = 0;
+    for (unsigned r = 0; r < reps; ++r) {
+        const double ta = secondsOf(a);
+        toggle(true);
+        const double tb = secondsOf(b);
+        toggle(false);
+        best_a = r == 0 ? ta : std::min(best_a, ta);
+        best_b = r == 0 ? tb : std::min(best_b, tb);
+    }
+    return {best_a, best_b};
+}
+
+template <typename A, typename B>
+std::pair<double, double>
+bestOfAlternating(unsigned reps, A &&a, B &&b)
+{
+    return bestOfAlternating(reps, a, b, [](bool) {});
 }
 
 /**
@@ -422,6 +525,12 @@ bestOf(unsigned reps, Fn &&fn)
 int
 runSweepGate()
 {
+    // Keep freed heap pages mapped: every rep after the first then
+    // times the sweep, not the kernel refaulting the pages its tables
+    // and the scalar models' many small vectors take (a cost that
+    // swings with host load).
+    mallopt(M_MMAP_THRESHOLD, 1 << 30);
+    mallopt(M_TRIM_THRESHOLD, 1 << 30);
     const auto &tr = syntheticTrace();
     auto schemes = sweepFixture();
     std::vector<trace::SharingTrace> suite;
@@ -429,7 +538,8 @@ runSweepGate()
     const auto mode = predict::UpdateMode::Direct;
     const double scheme_events =
         double(tr.events().size()) * double(schemes.size());
-    const unsigned reps = 3;
+    const unsigned reps = 7;
+    const unsigned tracing_reps = 7;
     const unsigned mt_threads = ThreadPool::defaultThreads();
 
     std::fprintf(stderr,
@@ -438,16 +548,18 @@ runSweepGate()
                  schemes.size(), tr.events().size(), tr.nNodes());
 
     std::vector<predict::SuiteResult> ref_results, batched_results;
-    double ref_sec = bestOf(reps, [&] {
-        ref_results =
-            sweep::ParallelSweep(1, sweep::SweepKernel::Reference)
-                .evaluate(suite, schemes, mode);
-    });
-    double batched_sec = bestOf(reps, [&] {
-        batched_results =
-            sweep::ParallelSweep(1, sweep::SweepKernel::Batched)
-                .evaluate(suite, schemes, mode);
-    });
+    const auto [ref_sec, batched_sec] = bestOfAlternating(
+        reps,
+        [&] {
+            ref_results =
+                sweep::ParallelSweep(1, sweep::SweepKernel::Reference)
+                    .evaluate(suite, schemes, mode);
+        },
+        [&] {
+            batched_results =
+                sweep::ParallelSweep(1, sweep::SweepKernel::Batched)
+                    .evaluate(suite, schemes, mode);
+        });
     double mt_sec = bestOf(reps, [&] {
         auto res =
             sweep::ParallelSweep(mt_threads,
@@ -456,24 +568,27 @@ runSweepGate()
         benchmark::DoNotOptimize(res);
     });
 
-    // Tracing overhead: the same single-thread batched sweep with
-    // span recording live.  batched_sec above already measures the
-    // disabled path (instrumentation compiled in, tracing off), so
-    // the pair bounds both costs — and bench_compare gates the
-    // disabled cost against the committed baseline.
-    {
-        obs::Tracer::Options topts;
-        topts.bufferRecords = std::size_t(1) << 20;
-        obs::Tracer::instance().enable(std::move(topts));
-    }
-    double traced_sec = bestOf(reps, [&] {
+    // Tracing overhead: the same single-thread batched sweep with span
+    // recording off (instrumentation compiled in) and live, so the
+    // pair bounds both costs — and bench_compare gates their ratio
+    // against the committed baseline.
+    const auto batched_once = [&] {
         auto res = sweep::ParallelSweep(1, sweep::SweepKernel::Batched)
                        .evaluate(suite, schemes, mode);
         benchmark::DoNotOptimize(res);
-    });
-    obs::Tracer::instance().disable();
+    };
+    const auto [plain_sec, traced_sec] = bestOfAlternating(
+        tracing_reps, batched_once, batched_once, [](bool on) {
+            if (!on) {
+                obs::Tracer::instance().disable();
+                return;
+            }
+            obs::Tracer::Options topts;
+            topts.bufferRecords = std::size_t(1) << 20;
+            obs::Tracer::instance().enable(std::move(topts));
+        });
     const double trace_overhead_pct =
-        (traced_sec / batched_sec - 1.0) * 100.0;
+        (traced_sec / plain_sec - 1.0) * 100.0;
 
     // The gate also cross-checks the kernels on the fixture: a fast
     // wrong kernel must not pass.
@@ -518,25 +633,36 @@ runSweepGate()
     record("batched_parallel", mt_threads, mt_sec);
 
     // Learned-family sweep throughput through the batched kernel,
-    // cross-checked against the reference.  bench_compare gates each
-    // family's rate over the window fixture's batched rate, a ratio
-    // that holds across hosts.
+    // cross-checked against the reference, and the family's frozen
+    // scalar model on the same schemes, cross-checked against the
+    // kernel.  bench_compare gates each family's rate over its
+    // model's, a ratio that holds across hosts and that no kernel or
+    // function change can move by speeding up the denominator.
     auto learned = [&](const char *key,
-                       const std::vector<predict::SchemeSpec> &fam) {
+                       const std::vector<predict::SchemeSpec> &fam,
+                       auto &&make_model) {
         std::vector<predict::SuiteResult> ref, batched;
         const double ref_sec = bestOf(reps, [&] {
             ref = sweep::ParallelSweep(1, sweep::SweepKernel::Reference)
                       .evaluate(suite, fam, mode);
         });
-        const double sec = bestOf(reps, [&] {
-            batched =
-                sweep::ParallelSweep(1, sweep::SweepKernel::Batched)
-                    .evaluate(suite, fam, mode);
-        });
+        std::vector<predict::Confusion> scalar;
+        const auto [sec, oracle_sec] = bestOfAlternating(
+            reps,
+            [&] {
+                batched =
+                    sweep::ParallelSweep(1, sweep::SweepKernel::Batched)
+                        .evaluate(suite, fam, mode);
+            },
+            [&] { scalar = scalarSweep(tr, fam, make_model); });
         for (std::size_t i = 0; i < fam.size(); ++i) {
-            if (!(ref[i].pooled == batched[i].pooled)) {
+            if (!(ref[i].pooled == batched[i].pooled) ||
+                !(scalar[i] == batched[i].pooled)) {
                 std::fprintf(stderr,
-                             "[gate] FAIL: kernels disagree on %s\n",
+                             "[gate] FAIL: %s disagree on %s\n",
+                             ref[i].pooled == batched[i].pooled
+                                 ? "kernel and scalar model"
+                                 : "kernels",
                              sweep::formatScheme(fam[i]).c_str());
                 return false;
             }
@@ -550,20 +676,32 @@ runSweepGate()
         j["scheme_events_per_sec"] = obs::Json(events / sec);
         j["reference_seconds"] = obs::Json(ref_sec);
         doc[key] = std::move(j);
+        obs::Json o = obs::Json::object();
+        o["threads"] = obs::Json(1u);
+        o["schemes"] = obs::Json(std::uint64_t(fam.size()));
+        o["seconds"] = obs::Json(oracle_sec);
+        o["scheme_events_per_sec"] = obs::Json(events / oracle_sec);
+        doc[std::string(key) + "_oracle"] = std::move(o);
         std::fprintf(stderr,
                      "[gate] %s fixture: %zu schemes, batched %.3fs "
-                     "(%.1fM scheme-events/s, %.3f of window "
-                     "batched)\n",
+                     "(%.1fM scheme-events/s), scalar model %.3fs: "
+                     "%.2fx the model\n",
                      key, fam.size(), sec, events / sec / 1e6,
-                     events / sec / (scheme_events / batched_sec));
+                     oracle_sec, oracle_sec / sec);
         return true;
     };
-    if (!learned("pas", pasFixture()) ||
-        !learned("perceptron", perceptronFixture()))
+    if (!learned("pas", pasFixture(),
+                 [](const predict::SchemeSpec &s, unsigned n) {
+                     return scalar::ScalarPAs(s.depth, n);
+                 }) ||
+        !learned("perceptron", perceptronFixture(),
+                 [](const predict::SchemeSpec &s, unsigned n) {
+                     return scalar::ScalarPerceptron(s.depth, n, s.perc);
+                 }))
         return 1;
     doc["speedup"] = obs::Json(speedup);
     obs::Json tracing = obs::Json::object();
-    tracing["disabled_seconds"] = obs::Json(batched_sec);
+    tracing["disabled_seconds"] = obs::Json(plain_sec);
     tracing["enabled_seconds"] = obs::Json(traced_sec);
     tracing["enabled_overhead_pct"] = obs::Json(trace_overhead_pct);
     doc["tracing"] = std::move(tracing);
@@ -590,7 +728,7 @@ runSweepGate()
     std::fprintf(stderr,
                  "[gate] tracing enabled %.3fs vs disabled %.3fs "
                  "(%+.2f%% overhead)\n",
-                 traced_sec, batched_sec, trace_overhead_pct);
+                 traced_sec, plain_sec, trace_overhead_pct);
     return speedup >= 1.0 ? 0 : 1;
 }
 

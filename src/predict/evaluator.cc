@@ -23,6 +23,29 @@ SchemeSpec::sizeBits(unsigned n_nodes) const
     return entries * fn->entryBits(n_nodes);
 }
 
+LearnKey
+learnKey(const SchemeSpec &scheme)
+{
+    LearnKey key;
+    switch (scheme.kind) {
+      case FunctionKind::Union:
+      case FunctionKind::Inter:
+      case FunctionKind::OverlapLast:
+        break;
+      case FunctionKind::PAs:
+        key.kind = LearnKey::Kind::PAs;
+        key.depth = scheme.depth;
+        break;
+      case FunctionKind::Perceptron:
+        key.kind = LearnKey::Kind::Perceptron;
+        key.depth = scheme.depth;
+        key.weightBits = scheme.perc.weightBits;
+        key.theta = scheme.perc.theta;
+        break;
+    }
+    return key;
+}
+
 Confusion
 evaluateTrace(const trace::SharingTrace &trace, PredictorTable &table,
               UpdateMode mode)

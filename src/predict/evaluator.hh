@@ -42,6 +42,44 @@ struct SchemeSpec
     bool operator==(const SchemeSpec &) const = default;
 };
 
+/**
+ * The fields a scheme's *learned* state depends on: two schemes on
+ * one index under one update mode whose keys are equal see the same
+ * feedback at every entry and so hold the same learned state at every
+ * event.  What the key leaves out only shapes the output:
+ *
+ *  - window history (union, inter, overlap-last, any depth): every
+ *    ring holds a prefix of one newest-first history of the feedback
+ *    (windowHistoryPush); depth picks the prefix and union vs inter
+ *    vs overlap-last is how it is read;
+ *  - PAs: (depth);
+ *  - perceptron: (depth, weightBits, theta); the Bloom filter is
+ *    output-only (see PerceptronFunction), so bloomBits is not in it.
+ *
+ * The batched sweep kernel keeps one learned block per key and index
+ * group; tests/scheme_property_test.cc checks the key on the
+ * reference evaluator.
+ */
+struct LearnKey
+{
+    enum class Kind : std::uint8_t
+    {
+        WindowHistory,
+        PAs,
+        Perceptron,
+    };
+    Kind kind = Kind::WindowHistory;
+    /** History depth (PAs and perceptron; 0 for window history). */
+    unsigned depth = 0;
+    /** Perceptron weight width and threshold (0 otherwise). */
+    unsigned weightBits = 0;
+    unsigned theta = 0;
+
+    bool operator==(const LearnKey &) const = default;
+};
+
+LearnKey learnKey(const SchemeSpec &scheme);
+
 /** Result of evaluating one scheme on one trace. */
 struct TraceResult
 {

@@ -397,33 +397,44 @@ bool
 PerceptronFunction::bloomSuppressed(const std::uint64_t *state,
                                     unsigned node) const
 {
-    if (params_.bloomBits == 0)
-        return false;
-    const std::uint32_t filt =
-        static_cast<std::uint32_t>(state[bloomWord_]);
-    const std::uint32_t m = bloomMaskOf_[node];
-    return (filt & m) == m;
+    const std::uint64_t bit = std::uint64_t(1) << node;
+    return params_.bloomBits > 0 && !bloomGate(bit, state[bloomWord_]);
 }
 
 void
-PerceptronFunction::bloomInsert(std::uint64_t *state,
-                                unsigned node) const
+PerceptronFunction::bloomRecord(std::uint64_t &word,
+                                std::uint64_t dead) const
 {
-    std::uint64_t word = state[bloomWord_];
-    std::uint64_t count = word >> 32;
-    if (count >= bloomCap_) {
-        // Self-aging: a full generation of inserts clears the filter,
-        // so a once-dead reader can be predicted again.
-        word = 0;
-        count = 0;
+    for (; dead; dead &= dead - 1) {
+        std::uint64_t count = word >> 32;
+        if (count >= bloomCap_) {
+            // Self-aging: a full generation of inserts clears the
+            // filter, so a once-dead reader can be predicted again.
+            word = 0;
+            count = 0;
+        }
+        word = ((word | bloomMaskOf_[std::countr_zero(dead)]) &
+                0xffffffffull) |
+               ((count + 1) << 32);
     }
-    word |= bloomMaskOf_[node];
-    state[bloomWord_] =
-        (word & 0xffffffffull) | ((count + 1) << 32);
 }
 
-SharingBitmap
-PerceptronFunction::predict(const std::uint64_t *state) const
+std::uint64_t
+PerceptronFunction::bloomGate(std::uint64_t raw, std::uint64_t word) const
+{
+    if (params_.bloomBits == 0)
+        return raw;
+    const std::uint32_t filt = static_cast<std::uint32_t>(word);
+    for (std::uint64_t left = raw; left; left &= left - 1) {
+        const unsigned n = unsigned(std::countr_zero(left));
+        if ((filt & bloomMaskOf_[n]) == bloomMaskOf_[n])
+            raw &= ~(std::uint64_t(1) << n);
+    }
+    return raw;
+}
+
+std::uint64_t
+PerceptronFunction::rawPredict(const std::uint64_t *state) const
 {
     std::uint64_t hp[8] = {};
     loadHistory(planes_, state, depth_, hp);
@@ -433,22 +444,22 @@ PerceptronFunction::predict(const std::uint64_t *state) const
         pred |= laneDots(rows + c, rowWords_, depth_, hp, 8 * c)
                     .reach(atTheta_)
                 << (8 * c);
-    pred &= planes_.nodeMask;
-    if (params_.bloomBits > 0) {
-        for (std::uint64_t left = pred; left; left &= left - 1) {
-            const unsigned n = unsigned(std::countr_zero(left));
-            if (bloomSuppressed(state, n))
-                pred &= ~(std::uint64_t(1) << n);
-        }
-    }
-    return SharingBitmap(pred);
+    return pred & planes_.nodeMask;
 }
 
-void
-PerceptronFunction::update(std::uint64_t *state,
-                           SharingBitmap feedback) const
+SharingBitmap
+PerceptronFunction::predict(const std::uint64_t *state) const
 {
-    const std::uint64_t fb = feedback.raw() & planes_.nodeMask;
+    const std::uint64_t raw = rawPredict(state);
+    return SharingBitmap(params_.bloomBits > 0
+                             ? bloomGate(raw, state[bloomWord_])
+                             : raw);
+}
+
+std::uint64_t
+PerceptronFunction::learn(std::uint64_t *state, std::uint64_t fb) const
+{
+    fb &= planes_.nodeMask;
     std::uint64_t hp[8] = {};
     loadHistory(planes_, state, depth_, hp);
     std::uint64_t *rows = state + historyWords_;
@@ -463,13 +474,6 @@ PerceptronFunction::update(std::uint64_t *state,
                       << (8 * c);
     }
     predicted &= planes_.nodeMask;
-
-    // Would-be false positives are dead readers, inserted in node
-    // order (self-aging may clear the filter between two of them).
-    if (params_.bloomBits > 0)
-        for (std::uint64_t dead = predicted & ~fb; dead;
-             dead &= dead - 1)
-            bloomInsert(state, unsigned(std::countr_zero(dead)));
 
     // Train on a mispredict or a low-confidence hit: every weight of
     // those nodes moves one step toward agreeing with the outcome,
@@ -500,6 +504,18 @@ PerceptronFunction::update(std::uint64_t *state,
         }
     }
     planes_.pushHistory(state, depth_, fb);
+    return predicted;
+}
+
+void
+PerceptronFunction::update(std::uint64_t *state,
+                           SharingBitmap feedback) const
+{
+    const std::uint64_t fb = feedback.raw() & planes_.nodeMask;
+    const std::uint64_t predicted = learn(state, fb);
+    // Would-be false positives are dead readers.
+    if (params_.bloomBits > 0)
+        bloomRecord(state[bloomWord_], predicted & ~fb);
 }
 
 std::unique_ptr<PredictionFunction>

@@ -108,8 +108,10 @@ class PredictionFunction
 
 /**
  * @name Window and overlap-last state transitions
- * The one definition of these families' per-entry state, shared by
- * WindowFunction, OverlapLastFunction and the batched sweep kernel.
+ * The one definition of these families' per-entry state: the rings
+ * WindowFunction and OverlapLastFunction keep per scheme, and the
+ * window history the batched sweep kernel shares among them (a ring's
+ * contents, newest first, are a prefix of the history).
  * @{
  */
 
@@ -167,6 +169,70 @@ overlapLastUpdate(std::uint64_t *state, std::uint64_t feedback)
     state[1] = feedback;
     if (state[0] < 2)
         ++state[0];
+}
+
+/** Slot @p i (0 = the newest) of a @p depth-slot window ring: the
+ *  order a window history holds its bitmaps in. */
+inline std::uint64_t
+windowRingSlot(const std::uint64_t *state, unsigned depth, unsigned i)
+{
+    const unsigned pos = static_cast<unsigned>(state[0] >> 32);
+    return state[1 + (pos + depth - 1 - i) % depth];
+}
+
+/**
+ * Window history: the learned state every window and overlap-last
+ * scheme of one learnKey shares in the batched kernel.  Word 0 counts
+ * the updates (saturating at @p depth); words 1..depth hold the
+ * newest feedback bitmaps, newest first (unwritten slots are zero).
+ * A depth-d ring's live slots, read newest first (windowRingSlot),
+ * are its prefix, and overlap-last's two bitmaps its first two slots.
+ */
+inline void
+windowHistoryPush(std::uint64_t *h, unsigned depth, std::uint64_t feedback)
+{
+    for (unsigned i = depth; i > 1; --i)
+        h[i] = h[i - 1];
+    h[1] = feedback;
+    if (h[0] < depth)
+        ++h[0];
+}
+
+/** Outputs of windowHistoryPredict() for a @p depth-slot history. */
+constexpr std::size_t
+windowHistoryOutputs(unsigned depth)
+{
+    return 2 * std::size_t(depth) + 1;
+}
+
+/**
+ * Every prediction a @p depth-slot window history serves, by one
+ * prefix OR/AND chain: out[d - 1] = union(d) and out[depth + d - 1] =
+ * inter(d) for d = 1..depth (d = 1 is last), and out[2 depth] =
+ * overlap-last (depth >= 2; empty otherwise).  Equal to
+ * windowPredict() and overlapLastPredict() over the rings the same
+ * feedback fills.  A literal depth folds the loop away.
+ */
+inline void
+windowHistoryPredict(const std::uint64_t *h, unsigned depth,
+                     std::uint64_t *out)
+{
+    // Unwritten slots are zero, so the union chain needs no count;
+    // the intersection stops at the live slots.
+    const std::uint64_t live = h[0];
+    std::uint64_t any = h[1], all = h[1];
+    out[0] = any;
+    out[depth] = all;
+    for (unsigned d = 1; d < depth; ++d) {
+        any |= h[1 + d];
+        if (d < live)
+            all &= h[1 + d];
+        out[d] = any;
+        out[depth + d] = all;
+    }
+    // A second bitmap exists only after two updates, and is zero
+    // until then: no count check needed.
+    out[2 * depth] = depth >= 2 && (h[1] & h[2]) ? h[1] : 0;
 }
 
 /** @} */
@@ -358,6 +424,17 @@ struct PerceptronParams
  * quarter of its bits' worth of inserts have accumulated, which also
  * bounds its false-positive rate (bloomFprBound()).
  *
+ * The Bloom filter is output-only: training sees the raw decision
+ * (rawPredict), never the gated one, and the filter only records
+ * which raw positives died and gates what predict() emits.  So the
+ * learned state — history and weights, the first learnedWords()
+ * words — depends on (depth, weightBits, theta) alone (learnKey), and
+ * schemes that differ only in bloomBits hold it bit for bit equal.
+ * update() is learn() followed by bloomRecord() of the raw positives
+ * that died; predict() is bloomGate() of rawPredict().  The batched
+ * sweep kernel runs those halves itself: one learn() and rawPredict()
+ * per key, one Bloom word per member.
+ *
  * State layout: `depth` history planes (see NodePlanes), then the
  * weights weight-index-major as int8 — row i holds w_i of every node,
  * byte n % 8 of word n / 8, padded to whole words — then (if enabled)
@@ -404,6 +481,28 @@ class PerceptronFunction : public PredictionFunction
     /** Raw (unsuppressed) per-node dot product of an entry. */
     int dot(const std::uint64_t *state, unsigned node) const;
 
+    /** Words of learned state (history and weights) at the start of
+     *  an entry; the Bloom word, if enabled, follows them. */
+    std::size_t learnedWords() const { return bloomWord_; }
+
+    /** The raw decision of an entry's learned words: the nodes whose
+     *  dot product reaches theta, before any Bloom gating. */
+    std::uint64_t rawPredict(const std::uint64_t *state) const;
+
+    /** Train the learned words on @p fb (node-masked) and push it
+     *  into the history.  @return the raw decision the trainer saw,
+     *  before training. */
+    std::uint64_t learn(std::uint64_t *state, std::uint64_t fb) const;
+
+    /** @p raw with the nodes Bloom filter word @p word suppresses
+     *  cleared (@p raw unchanged when the filter is disabled). */
+    std::uint64_t bloomGate(std::uint64_t raw, std::uint64_t word) const;
+
+    /** Insert the dead readers @p dead (raw positives that did not
+     *  share) into Bloom filter word @p word, in node order
+     *  (self-aging may clear the filter between two of them). */
+    void bloomRecord(std::uint64_t &word, std::uint64_t dead) const;
+
     /** Inserts the Bloom filter holds before self-aging clears it. */
     unsigned bloomCapacity() const { return bloomCap_; }
     /** Analytic false-positive bound of the aged filter (k = 2,
@@ -414,8 +513,6 @@ class PerceptronFunction : public PredictionFunction
                          unsigned node) const;
 
   private:
-    void bloomInsert(std::uint64_t *state, unsigned node) const;
-
     unsigned depth_;
     unsigned nNodes_;
     PerceptronParams params_;

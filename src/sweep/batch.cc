@@ -70,53 +70,125 @@ BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
       nodeBits_(predict::nodeBitsFor(n_nodes))
 {
     ccp_assert(!schemes_.empty(), "empty scheme batch");
-    compiled_.reserve(schemes_.size());
 
-    // specs[g] is the IndexSpec of groups_[g].
+    // Group by IndexSpec (specs[g] is groups_[g]'s) and, within a
+    // group, by learnKey: each scheme joins its key's block and
+    // remembers which of the block's outputs it reads, resolved
+    // once the block's depth and Bloom members are known.
+    struct Read
+    {
+        std::size_t block;
+        std::size_t bloom; ///< 1 + Bloom member, or 0 (raw decision)
+    };
+    std::vector<Read> reads;
+    reads.reserve(schemes_.size());
     std::vector<predict::IndexSpec> specs;
-    for (std::size_t i = 0; i < schemes_.size(); ++i) {
-        const SchemeSpec &s = schemes_[i];
-        Compiled c;
-        c.depth = s.depth;
+    for (const SchemeSpec &s : schemes_) {
         std::shared_ptr<const predict::PredictionFunction> fn =
             predict::makeFunction(s.kind, s.depth, n_nodes, s.perc);
-        c.entryWords = fn->entryWords();
-        switch (s.kind) {
-          case FunctionKind::Union:
-          case FunctionKind::Inter:
-            c.op = s.depth == 1 ? Op::Last
-                   : s.kind == FunctionKind::Union ? Op::Union
-                                                   : Op::Inter;
-            break;
-          case FunctionKind::OverlapLast:
-            c.op = Op::OverlapLast;
-            break;
-          case FunctionKind::PAs:
-            c.op = Op::PAs;
-            c.pas = std::static_pointer_cast<const PAsFunction>(fn);
-            break;
-          case FunctionKind::Perceptron:
-            c.op = Op::Perceptron;
-            c.perc =
-                std::static_pointer_cast<const PerceptronFunction>(fn);
-            break;
-        }
         const unsigned bits = s.index.indexBits(nodeBits_);
-        tableWords_ += checkedSchemeStateWords(bits, c.entryWords);
-        c.group = static_cast<std::size_t>(
+        tableWords_ += checkedSchemeStateWords(bits, fn->entryWords());
+        const std::size_t g = static_cast<std::size_t>(
             std::find(specs.begin(), specs.end(), s.index) -
             specs.begin());
-        if (c.group == specs.size()) {
+        if (g == specs.size()) {
             specs.push_back(s.index);
-            Group g;
-            g.plan = predict::makeIndexPlan(s.index, nodeBits_);
-            g.bits = bits;
-            groups_.push_back(std::move(g));
+            Group grp;
+            grp.plan = predict::makeIndexPlan(s.index, nodeBits_);
+            grp.bits = bits;
+            groups_.push_back(std::move(grp));
         }
-        c.offset = groups_[c.group].stride;
-        groups_[c.group].stride += c.entryWords;
-        compiled_.push_back(std::move(c));
+
+        const predict::LearnKey key = predict::learnKey(s);
+        std::size_t b = 0;
+        while (b < blocks_.size() &&
+               !(blocks_[b].group == g && blocks_[b].key == key))
+            ++b;
+        if (b == blocks_.size()) {
+            Block blk;
+            blk.key = key;
+            blk.group = g;
+            switch (key.kind) {
+              case predict::LearnKey::Kind::WindowHistory:
+                blk.op = Op::Window;
+                break;
+              case predict::LearnKey::Kind::PAs:
+                blk.op = Op::PAs;
+                blk.pas = std::static_pointer_cast<const PAsFunction>(fn);
+                break;
+              case predict::LearnKey::Kind::Perceptron: {
+                blk.op = Op::Perceptron;
+                // The learner needs no Bloom word of its own.
+                predict::PerceptronParams learner = s.perc;
+                learner.bloomBits = 0;
+                blk.perc = std::make_shared<const PerceptronFunction>(
+                    s.depth, n_nodes, learner);
+                break;
+              }
+            }
+            blocks_.push_back(std::move(blk));
+        }
+        Block &blk = blocks_[b];
+        Read r{b, 0};
+        if (blk.op == Op::Window)
+            blk.depth = std::max(
+                blk.depth, s.kind == FunctionKind::OverlapLast ? 2u
+                                                               : s.depth);
+        if (blk.op == Op::Perceptron && s.perc.bloomBits > 0) {
+            blk.blooms.push_back(
+                std::static_pointer_cast<const PerceptronFunction>(fn));
+            r.bloom = blk.blooms.size();
+        }
+        reads.push_back(r);
     }
+
+    // Lay each group out block by block, and number the outputs.
+    std::size_t n_outs = 0;
+    for (Block &blk : blocks_) {
+        std::size_t words = 0, outs = 1;
+        switch (blk.op) {
+          case Op::Window:
+            words = blk.depth + 1;
+            outs = predict::windowHistoryOutputs(blk.depth);
+            break;
+          case Op::PAs:
+            words = blk.pas->entryWords();
+            break;
+          case Op::Perceptron:
+            words = blk.perc->learnedWords() + blk.blooms.size();
+            outs = 1 + blk.blooms.size();
+            break;
+        }
+        Group &grp = groups_[blk.group];
+        blk.offset = grp.stride;
+        grp.stride += words;
+        blk.out = n_outs;
+        n_outs += outs;
+    }
+    outs_.assign(n_outs, 0);
+
+    tallies_.resize(schemes_.size());
+    for (std::size_t i = 0; i < schemes_.size(); ++i) {
+        const Read &r = reads[i];
+        const Block &blk = blocks_[r.block];
+        const SchemeSpec &s = schemes_[i];
+        std::size_t at = r.bloom;
+        if (blk.op == Op::Window) {
+            switch (s.kind) {
+              case FunctionKind::Union:
+                at = s.depth - 1;
+                break;
+              case FunctionKind::Inter:
+                at = blk.depth + s.depth - 1;
+                break;
+              default:
+                at = 2 * std::size_t(blk.depth);
+                break;
+            }
+        }
+        tallies_[i].out = blk.out + at;
+    }
+
     rawScratch_.assign(groups_.size(), 0);
     learnRawScratch_.assign(groups_.size(), 0);
     entryScratch_.assign(groups_.size(), nullptr);
@@ -181,65 +253,80 @@ BatchEvaluator::denseId(Group &g, std::uint64_t raw)
 
 template <UpdateMode mode>
 inline void
-BatchEvaluator::stepScheme(Compiled &c, std::uint64_t *entry,
-                           std::uint64_t *upd,
-                           const trace::CoherenceEvent &ev,
-                           SharingBitmap fb_ordered, std::uint64_t mask,
-                           std::uint64_t actual,
-                           std::uint64_t actual_pop)
+BatchEvaluator::stepBlock(const Block &b, std::uint64_t *entry,
+                          std::uint64_t *upd,
+                          const trace::CoherenceEvent &ev,
+                          SharingBitmap fb_ordered, std::uint64_t *out)
 {
     // The opcode picks the family's transitions; the shared rule
-    // orders them.  Op::Last is the window code at a literal depth of
-    // 1, so the compiler folds its ring loop and arithmetic away.
-    const auto predict_op = [&]() -> std::uint64_t {
-        switch (c.op) {
-          case Op::Last:
-            return predict::windowPredict(entry, 1, true);
-          case Op::Union:
-            return predict::windowPredict(entry, c.depth, true);
-          case Op::Inter:
-            return predict::windowPredict(entry, c.depth, false);
-          case Op::OverlapLast:
-            return predict::overlapLastPredict(entry);
-          case Op::PAs:
-            // Qualified calls: no virtual dispatch in the loop.
-            return c.pas->PAsFunction::predict(entry).raw();
-          case Op::Perceptron:
-            return c.perc->PerceptronFunction::predict(entry).raw();
-        }
-        return 0;
+    // orders them.  Predicting writes every output the members read.
+    const auto window = [&](auto depth) {
+        predict::stepWith(
+            ev, mode, fb_ordered,
+            [&] {
+                predict::windowHistoryPredict(entry, depth, out);
+                return 0;
+            },
+            [&](SharingBitmap fb) {
+                predict::windowHistoryPush(upd, depth, fb.raw());
+            });
     };
-    const auto update_op = [&](SharingBitmap fb) {
-        switch (c.op) {
-          case Op::Last:
-            predict::windowUpdate(upd, 1, fb.raw());
+    switch (b.op) {
+      case Op::Window:
+        // The paper grid's depths as literals: the chain folds away.
+        switch (b.depth) {
+          case 1:
+            window(std::integral_constant<unsigned, 1>());
             break;
-          case Op::Union:
-          case Op::Inter:
-            predict::windowUpdate(upd, c.depth, fb.raw());
+          case 2:
+            window(std::integral_constant<unsigned, 2>());
             break;
-          case Op::OverlapLast:
-            predict::overlapLastUpdate(upd, fb.raw());
+          case 3:
+            window(std::integral_constant<unsigned, 3>());
             break;
-          case Op::PAs:
-            c.pas->PAsFunction::update(upd, fb);
+          case 4:
+            window(std::integral_constant<unsigned, 4>());
             break;
-          case Op::Perceptron:
-            c.perc->PerceptronFunction::update(upd, fb);
+          default:
+            window(b.depth);
             break;
         }
-    };
-    const std::uint64_t pred =
-        predict::stepWith(ev, mode, fb_ordered, predict_op, update_op) &
-        mask;
-
-    // Word-wise confusion: two popcounts, no per-bit work.
-    // |pred & ~actual| = |pred| - tp and |actual & ~pred| =
-    // |actual| - tp, with |actual| hoisted per event.
-    const std::uint64_t tp = std::popcount(pred & actual);
-    c.tp += tp;
-    c.fp += std::popcount(pred) - tp;
-    c.fn += actual_pop - tp;
+        break;
+      case Op::PAs:
+        // Qualified calls: no virtual dispatch in the loop.
+        predict::stepWith(
+            ev, mode, fb_ordered,
+            [&] {
+                out[0] = b.pas->PAsFunction::predict(entry).raw();
+                return 0;
+            },
+            [&](SharingBitmap fb) { b.pas->PAsFunction::update(upd, fb); });
+        break;
+      case Op::Perceptron: {
+        // One dot-product pass and one training step for the key;
+        // each Bloom member gates the raw decision with its own word
+        // and records the raw positives that died in it.
+        const std::size_t learned = b.perc->learnedWords();
+        const std::size_t n_blooms = b.blooms.size();
+        predict::stepWith(
+            ev, mode, fb_ordered,
+            [&] {
+                const std::uint64_t raw = b.perc->rawPredict(entry);
+                out[0] = raw;
+                for (std::size_t k = 0; k < n_blooms; ++k)
+                    out[1 + k] =
+                        b.blooms[k]->bloomGate(raw, entry[learned + k]);
+                return 0;
+            },
+            [&](SharingBitmap fb) {
+                const std::uint64_t dead =
+                    b.perc->learn(upd, fb.raw()) & ~fb.raw();
+                for (std::size_t k = 0; k < n_blooms; ++k)
+                    b.blooms[k]->bloomRecord(upd[learned + k], dead);
+            });
+        break;
+      }
+    }
 }
 
 template <UpdateMode mode>
@@ -251,8 +338,11 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
     const std::uint64_t mask = SharingBitmap::all(nNodes_).raw();
     Group *const groups = groups_.data();
     const std::size_t n_groups = groups_.size();
-    Compiled *const compiled = compiled_.data();
-    const std::size_t n_schemes = compiled_.size();
+    const Block *const blocks = blocks_.data();
+    const std::size_t n_blocks = blocks_.size();
+    Tally *const tallies = tallies_.data();
+    const std::size_t n_schemes = tallies_.size();
+    std::uint64_t *const outs = outs_.data();
     const std::vector<trace::CoherenceEvent> &events = trace.events();
     const std::size_t n_events = events.size();
     if (n_events == 0)
@@ -343,13 +433,25 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
             }
         }
 
-        for (std::size_t i = 0; i < n_schemes; ++i) {
-            Compiled &c = compiled[i];
-            std::uint64_t *const entry = ent[c.group] + c.offset;
+        // Learn and predict once per block, then tally every scheme
+        // from its block's outputs: two popcounts, no per-bit work.
+        // |pred & ~actual| = |pred| - tp and |actual & ~pred| =
+        // |actual| - tp, with |actual| hoisted per event.
+        for (std::size_t b = 0; b < n_blocks; ++b) {
+            const Block &blk = blocks[b];
+            std::uint64_t *const entry = ent[blk.group] + blk.offset;
             std::uint64_t *const upd =
-                learns ? upd_ptr[c.group] + c.offset : entry;
-            stepScheme<mode>(c, entry, upd, ev, fb_ordered, mask, actual,
-                             actual_pop);
+                learns ? upd_ptr[blk.group] + blk.offset : entry;
+            stepBlock<mode>(blk, entry, upd, ev, fb_ordered,
+                            outs + blk.out);
+        }
+        for (std::size_t i = 0; i < n_schemes; ++i) {
+            Tally &t = tallies[i];
+            const std::uint64_t pred = outs[t.out] & mask;
+            const std::uint64_t tp = std::popcount(pred & actual);
+            t.tp += tp;
+            t.fp += std::popcount(pred) - tp;
+            t.fn += actual_pop - tp;
         }
     }
 }
@@ -362,8 +464,8 @@ BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
                "batch compiled for ", nNodes_, " nodes, trace has ",
                trace.nNodes());
     startTrace(trace.events().size(), mode);
-    for (Compiled &c : compiled_)
-        c.tp = c.fp = c.fn = 0;
+    for (Tally &t : tallies_)
+        t.tp = t.fp = t.fn = 0;
 
     std::vector<SharingBitmap> ordered_fb;
     if (mode == UpdateMode::Ordered)
@@ -385,10 +487,11 @@ BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
     double sec = watch.elapsedSec();
 
     const std::uint64_t events = trace.events().size();
-    const std::uint64_t scheme_events = events * compiled_.size();
+    const std::uint64_t scheme_events = events * tallies_.size();
     auto &reg = obs::StatsRegistry::current();
     reg.counter("batch.trace_walks") += 1;
     reg.counter("batch.scheme_events") += scheme_events;
+    reg.counter("batch.learned_blocks") += events * blocks_.size();
     std::uint64_t state_words = 0;
     for (const Group &g : groups_)
         state_words += (g.identity ? std::size_t(1) << g.bits : g.entries) *
@@ -401,11 +504,11 @@ BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
             .add(static_cast<double>(scheme_events) / sec);
 
     std::vector<Confusion> confs;
-    confs.reserve(compiled_.size());
+    confs.reserve(tallies_.size());
     const std::uint64_t decisions = events * nNodes_;
-    for (const Compiled &c : compiled_)
+    for (const Tally &t : tallies_)
         confs.push_back(
-            Confusion::fromPositives(c.tp, c.fp, c.fn, decisions));
+            Confusion::fromPositives(t.tp, t.fp, t.fn, decisions));
     return confs;
 }
 

@@ -15,18 +15,33 @@
  *    predict::IndexPlan is evaluated once (and, under forwarded
  *    update, once more for the learner's tuple), and the entry id it
  *    yields is shared by every scheme of the group.
+ *  - Within a group, schemes with equal predict::learnKey hold equal
+ *    learned state, so the group keeps one *learned block* per
+ *    distinct key, learned and read once per event: one newest-first
+ *    window history (of the deepest member's depth) for every union,
+ *    inter and overlap-last scheme, whose predictions are one prefix
+ *    OR/AND chain over it; one PAs entry per PAs depth; and per
+ *    perceptron (depth, weightBits, theta) one set of history planes
+ *    and weights, followed by one Bloom word per Bloom member.  The
+ *    Bloom filter is output-only: the shared raw decision trains the
+ *    weights and feeds each member's filter, and each member gates
+ *    that one decision with its own word.  Each block writes its
+ *    members' predictions to a per-batch output array; a per-scheme
+ *    loop then only tallies.
  *  - Predictor state is dense per trace: ids are numbered by first
  *    touch, so a group's state is (distinct entries the trace
- *    touches) x (its schemes' entry words, side by side), each entry
+ *    touches) x (its learned blocks' words, side by side), each entry
  *    zeroed when its id is handed out.  Tables small next to the
  *    trace use the raw index as the id instead, over a zeroed whole
- *    table (see identityEventsPerEntry).
- *  - Prediction functions are dispatched by a flat opcode (no virtual
- *    calls for the window families that dominate the design space:
- *    the kernel calls the shared inline window and overlap-last
- *    transitions of predict/function.hh), and the update mode's order
- *    and feedback come from the shared rule in predict/step.hh.
- *  - Confusion accumulation is word-wise: three popcounts on the
+ *    table (see identityEventsPerEntry).  A block is never larger
+ *    than the entries of the schemes it serves, so schemeStateWords
+ *    stays an upper bound.
+ *  - Blocks are dispatched by a flat opcode (no virtual calls: window
+ *    blocks run the inline history transitions of
+ *    predict/function.hh, PAs and perceptron blocks qualified calls
+ *    into their functions), and the update mode's order and feedback
+ *    come from the shared rule in predict/step.hh.
+ *  - Confusion accumulation is word-wise: two popcounts on the
  *    64-bit sharing bitmaps per (event, scheme) with true negatives
  *    recovered by conservation at the end of the trace, instead of
  *    per-bit branches.
@@ -66,8 +81,9 @@ inline constexpr std::uint64_t identityEventsPerEntry = 16;
 /**
  * Evaluates a fixed batch of schemes over traces, event-major.
  *
- * Construction compiles every scheme (opcode, entry size) and groups
- * the batch by IndexSpec, one compiled index plan per group;
+ * Construction groups the batch by IndexSpec, one compiled index plan
+ * per group, and each group's schemes by learnKey, one learned block
+ * per key;
  * evaluateTrace() then walks the trace once for the whole batch,
  * mapping each group's entry ids as it goes.  The batch owns all
  * predictor state; a fresh trace starts from zeroed state (the same
@@ -115,15 +131,12 @@ class BatchEvaluator
     std::size_t footprintBytes() const;
 
   private:
-    /** Flat function dispatch: the batched kernel's opcode. */
+    /** A learned block's family: the batched kernel's opcode. */
     enum class Op : std::uint8_t
     {
-        Last,        ///< union/inter, depth 1
-        Union,       ///< union, depth >= 2
-        Inter,       ///< inter, depth >= 2
-        OverlapLast, ///< overlap-filtered last
-        PAs,         ///< two-level adaptive (via PAsFunction)
-        Perceptron,  ///< hashed perceptron (via PerceptronFunction)
+        Window,     ///< a window history (union/inter/overlap-last)
+        PAs,        ///< two-level adaptive (via PAsFunction)
+        Perceptron, ///< hashed perceptron (via PerceptronFunction)
     };
 
     /** The schemes of one IndexSpec: their shared plan, entry ids
@@ -131,11 +144,11 @@ class BatchEvaluator
     struct Group
     {
         predict::IndexPlan plan;
-        /** Words per entry id: every member scheme's entry, side by
-         *  side in batch order. */
+        /** Words per entry id: the group's learned blocks (each with
+         *  its members' output words), side by side. */
         std::size_t stride = 0;
-        /** The current trace's state: entry id k holds the members'
-         *  entries at state[k * stride, (k + 1) * stride). */
+        /** The current trace's state: entry id k holds the blocks at
+         *  state[k * stride, (k + 1) * stride). */
         std::uint64_t *state = nullptr;
         /** The current trace uses the raw index as the entry id;
          *  otherwise ids are dense, numbered by first touch. */
@@ -156,21 +169,43 @@ class BatchEvaluator
         std::size_t stateCap = 0;
     };
 
-    /** One compiled scheme: group + opcode + entry layout. */
-    struct Compiled
+    /**
+     * The learned state of one learnKey within one group: learned
+     * once per event for every member scheme, which then only read
+     * its outputs.
+     *
+     *  - Window: a `depth`-slot window history (the deepest member's
+     *    depth, at least 2 with an overlap-last member); outputs are
+     *    windowHistoryPredict()'s.
+     *  - PAs: one PAs entry; one output.
+     *  - Perceptron: the key's learned words (history and weights),
+     *    then one Bloom word per Bloom member; output 0 is the raw
+     *    decision, output 1 + k Bloom member k's gated one.
+     */
+    struct Block
     {
-        /** This scheme's index group in groups_. */
+        predict::LearnKey key;
         std::size_t group = 0;
-        /** Offset of this scheme's entry within its group's stride. */
+        /** Offset of the block within its group's stride. */
         std::size_t offset = 0;
-        Op op = Op::Last;
+        /** Its first output in outs_. */
+        std::size_t out = 0;
+        Op op = Op::Window;
+        /** Window history slots (Window only). */
         unsigned depth = 1;
-        std::size_t entryWords = 0;
-        /** Concrete function, PAs only (word layout lives there). */
+        /** Concrete functions, PAs / perceptron only: the learner,
+         *  and each Bloom member's own (filter width and hashes). */
         std::shared_ptr<const predict::PAsFunction> pas;
-        /** Concrete function, perceptron only (same reason). */
         std::shared_ptr<const predict::PerceptronFunction> perc;
-        /** tp/fp/fn popcount tallies for the trace being walked. */
+        std::vector<std::shared_ptr<const predict::PerceptronFunction>>
+            blooms;
+    };
+
+    /** One scheme: which output it reads, and its tp/fp/fn popcount
+     *  tallies for the trace being walked. */
+    struct Tally
+    {
+        std::size_t out = 0;
         std::uint64_t tp = 0, fp = 0, fn = 0;
     };
 
@@ -186,18 +221,20 @@ class BatchEvaluator
     void runTrace(const trace::SharingTrace &trace,
                   const std::vector<SharingBitmap> &ordered_fb);
 
-    /** One scheme's update/predict/tally for one event. */
+    /** One block's learn/predict for one event, its outputs written
+     *  to @p out. */
     template <predict::UpdateMode mode>
-    static void stepScheme(Compiled &c, std::uint64_t *entry,
-                           std::uint64_t *upd,
-                           const trace::CoherenceEvent &ev,
-                           SharingBitmap fb_ordered, std::uint64_t mask,
-                           std::uint64_t actual,
-                           std::uint64_t actual_pop);
+    static void stepBlock(const Block &b, std::uint64_t *entry,
+                          std::uint64_t *upd,
+                          const trace::CoherenceEvent &ev,
+                          SharingBitmap fb_ordered, std::uint64_t *out);
 
     std::vector<predict::SchemeSpec> schemes_;
-    std::vector<Compiled> compiled_;
+    std::vector<Tally> tallies_;
+    std::vector<Block> blocks_;
     std::vector<Group> groups_;
+    /** Every block's outputs for the current event. */
+    std::vector<std::uint64_t> outs_;
     unsigned nNodes_;
     unsigned nodeBits_;
     /** Sum of schemeStateWords over the batch: the words a full

@@ -16,14 +16,18 @@
  * all three update modes, on machines of 4, 16, and 64 nodes (the
  * last stressing full-width 64-bit sharing bitmaps).  Both entry-id
  * maps of the kernel — the raw index for tables small next to the
- * trace, first-touch dense ids for wide ones — meet in one batch, and
- * a zero-event trace must come out all zero.
+ * trace, first-touch dense ids for wide ones — meet in one batch;
+ * schemes that share a learned block (window depths, perceptron Bloom
+ * widths) are mixed with ones that must not, in one batch and split
+ * across batches; and a zero-event trace must come out all zero.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -462,6 +466,147 @@ TEST(Differential, IdentityAndDenseIdsSixtyFourNodes)
     runIdMapDifferential(/*seed=*/71, /*n_nodes=*/64);
 }
 
+// ---------------------------------------------------------------------
+// Learned blocks: schemes of one index that share a learnKey share
+// one block of learned state in the kernel.
+
+/** A perceptron on @p idx. */
+SchemeSpec
+perceptronOf(const IndexSpec &idx, unsigned depth, unsigned weight_bits,
+             unsigned theta, unsigned bloom_bits)
+{
+    SchemeSpec s{idx, FunctionKind::Perceptron, depth};
+    s.perc.weightBits = weight_bits;
+    s.perc.theta = theta;
+    s.perc.bloomBits = bloom_bits;
+    return s;
+}
+
+/**
+ * Window groups that mix last, union/inter of depths 2-4 and
+ * overlap-last (the history's depth is the deepest member's, or 2
+ * for overlap-last alone), PAs twins, and perceptron keys on one
+ * index that several Bloom widths share next to ones whose weight
+ * width or theta differs — interleaved, so no key's members are
+ * adjacent in the batch.
+ */
+std::vector<SchemeSpec>
+learnedBlockSchemes()
+{
+    const IndexSpec narrow = indexOf(false, 3, false, 0);
+    const IndexSpec wide = indexOf(true, 6, false, 4);
+    const IndexSpec hashed = indexOf(false, 4, true, 4, true);
+    const IndexSpec solo = indexOf(false, 0, false, 5);
+    std::vector<SchemeSpec> s = {
+        SchemeSpec{narrow, FunctionKind::Union, 1},
+        perceptronOf(hashed, 2, 5, 2, 16),
+        SchemeSpec{wide, FunctionKind::Inter, 3},
+        SchemeSpec{narrow, FunctionKind::Inter, 2},
+        perceptronOf(hashed, 2, 5, 2, 0),
+        SchemeSpec{solo, FunctionKind::OverlapLast, 1},
+        SchemeSpec{narrow, FunctionKind::OverlapLast, 1},
+        perceptronOf(hashed, 2, 4, 2, 16),
+        SchemeSpec{wide, FunctionKind::Union, 1},
+        SchemeSpec{narrow, FunctionKind::Union, 4},
+        perceptronOf(hashed, 2, 5, 2, 8),
+        SchemeSpec{wide, FunctionKind::PAs, 2},
+        SchemeSpec{narrow, FunctionKind::Inter, 4},
+        perceptronOf(hashed, 2, 5, 3, 8),
+        SchemeSpec{wide, FunctionKind::OverlapLast, 1},
+        perceptronOf(wide, 4, 5, 2, 0),
+        SchemeSpec{narrow, FunctionKind::Union, 2},
+        perceptronOf(hashed, 2, 5, 2, 16),
+        SchemeSpec{wide, FunctionKind::PAs, 2},
+        SchemeSpec{narrow, FunctionKind::Inter, 3},
+        perceptronOf(hashed, 2, 5, 3, 0),
+        perceptronOf(wide, 4, 5, 2, 32),
+        SchemeSpec{narrow, FunctionKind::Union, 3},
+        perceptronOf(hashed, 4, 5, 2, 16),
+        SchemeSpec{wide, FunctionKind::Union, 2},
+    };
+    return s;
+}
+
+/** Learned blocks of learnedBlockSchemes(): windows on narrow, wide
+ *  and solo; one PAs; on hashed, (2,5,2) with b0/b8/b16/b16,
+ *  (2,4,2), (2,5,3) with b0/b8 and (4,5,2); on wide, (4,5,2). */
+constexpr std::size_t kLearnedBlocks = 9;
+
+void
+expectBatchMatchesReference(const std::vector<SchemeSpec> &schemes,
+                            const SharingTrace &tr, unsigned n_nodes)
+{
+    sweep::BatchEvaluator batch(schemes, n_nodes);
+    for (UpdateMode mode : kModes) {
+        auto got = batch.evaluateTrace(tr, mode);
+        ASSERT_EQ(got.size(), schemes.size());
+        for (std::size_t i = 0; i < schemes.size(); ++i)
+            expectExactMatch(got[i],
+                             predict::evaluateTrace(tr, schemes[i], mode),
+                             schemes[i], mode);
+    }
+}
+
+void
+runLearnedBlockDifferential(std::uint64_t seed, unsigned n_nodes)
+{
+    Rng rng(seed);
+    const SharingTrace tr = ghostWriterTrace(rng, n_nodes, 2500);
+    const std::vector<SchemeSpec> schemes = learnedBlockSchemes();
+    {
+        obs::StatsRegistry reg;
+        obs::ScopedRegistry route(reg);
+        expectBatchMatchesReference(schemes, tr, n_nodes);
+        const auto *blocks = reg.findCounter("batch.learned_blocks");
+        ASSERT_NE(blocks, nullptr);
+        EXPECT_EQ(blocks->value, 3 * tr.events().size() * kLearnedBlocks);
+    }
+
+    // The same schemes with each index group contiguous, cut into
+    // batches of four: a key's members land in different batches, and
+    // each batch learns its share alone.
+    std::vector<SchemeSpec> grouped = schemes;
+    std::stable_sort(grouped.begin(), grouped.end(),
+                     [](const SchemeSpec &a, const SchemeSpec &b) {
+                         return a.index.fieldsName() < b.index.fieldsName();
+                     });
+    const auto plan = sweep::planBatches(grouped, n_nodes,
+                                         std::size_t(4) << 20,
+                                         /*max_schemes=*/4);
+    std::vector<std::size_t> batch_of(grouped.size());
+    for (std::size_t b = 0; b < plan.size(); ++b)
+        for (std::size_t i = plan[b].first; i < plan[b].second; ++i)
+            batch_of[i] = b;
+    bool split_key = false;
+    for (std::size_t i = 0; i < grouped.size(); ++i)
+        for (std::size_t j = i + 1; j < grouped.size(); ++j)
+            split_key |= grouped[i].index == grouped[j].index &&
+                         predict::learnKey(grouped[i]) ==
+                             predict::learnKey(grouped[j]) &&
+                         batch_of[i] != batch_of[j];
+    ASSERT_TRUE(split_key);
+    for (const auto &[first, last] : plan)
+        expectBatchMatchesReference(
+            std::vector<SchemeSpec>(grouped.begin() + first,
+                                    grouped.begin() + last),
+            tr, n_nodes);
+}
+
+TEST(Differential, LearnedBlocksFourNodes)
+{
+    runLearnedBlockDifferential(/*seed=*/89, /*n_nodes=*/4);
+}
+
+TEST(Differential, LearnedBlocksSixteenNodes)
+{
+    runLearnedBlockDifferential(/*seed=*/97, /*n_nodes=*/16);
+}
+
+TEST(Differential, LearnedBlocksSixtyFourNodes)
+{
+    runLearnedBlockDifferential(/*seed=*/101, /*n_nodes=*/64);
+}
+
 TEST(Differential, ZeroEventTraceIsAllZeroInEveryMode)
 {
     Rng rng(73);
@@ -485,30 +630,58 @@ TEST(BatchStats, StateWordsAreDenseAndTableWordsFull)
 {
     // One wide table over a short trace: the dense state is what the
     // trace touches, far below the full table the stats also report.
+    // Its three window schemes share one depth-2 history (3 words per
+    // entry where their rings took 3 + 3 + 2), so one learned block
+    // serves them.
     Rng rng(79);
     const SharingTrace tr = randomTrace(rng, 16, 500);
+    const IndexSpec wide = indexOf(true, 8, false, 8);
     const std::vector<SchemeSpec> schemes = {
-        SchemeSpec{indexOf(true, 8, false, 8), FunctionKind::Union, 2},
-        SchemeSpec{indexOf(false, 2, false, 0), FunctionKind::Inter, 2}};
+        SchemeSpec{wide, FunctionKind::Union, 2},
+        SchemeSpec{indexOf(false, 2, false, 0), FunctionKind::Inter, 2},
+        SchemeSpec{wide, FunctionKind::Inter, 2},
+        SchemeSpec{wide, FunctionKind::Union, 1}};
     std::uint64_t table_words = 0;
     for (const SchemeSpec &s : schemes)
         table_words += sweep::schemeStateWords(s, 16);
 
-    obs::StatsRegistry reg;
-    {
-        obs::ScopedRegistry route(reg);
-        sweep::BatchEvaluator batch(schemes, 16);
-        batch.evaluateTrace(tr, UpdateMode::Forwarded);
-    }
-    const auto *state = reg.findCounter("batch.state_words");
-    const auto *table = reg.findCounter("batch.table_words");
-    ASSERT_NE(state, nullptr);
-    ASSERT_NE(table, nullptr);
-    EXPECT_EQ(table->value, table_words);
-    EXPECT_GT(state->value, 0u);
+    const auto counters = [&](const std::vector<SchemeSpec> &batch) {
+        obs::StatsRegistry reg;
+        {
+            obs::ScopedRegistry route(reg);
+            sweep::BatchEvaluator(batch, 16)
+                .evaluateTrace(tr, UpdateMode::Forwarded);
+        }
+        std::map<std::string, std::uint64_t> got;
+        for (const char *name :
+             {"batch.state_words", "batch.table_words",
+              "batch.scheme_events", "batch.learned_blocks"}) {
+            const auto *c = reg.findCounter(name);
+            got[name] = c ? c->value : 0;
+        }
+        return got;
+    };
+    auto got = counters(schemes);
+    EXPECT_EQ(got["batch.table_words"], table_words);
+    EXPECT_EQ(got["batch.scheme_events"], 4 * 500u);
+    EXPECT_EQ(got["batch.learned_blocks"], 2 * 500u);
+    EXPECT_GT(got["batch.state_words"], 0u);
     // <= 2 entries per event for the wide table (forwarded learners),
     // the whole 4-entry table for the narrow one.
-    EXPECT_LE(state->value, 2 * 500 * 3 + 4 * 3);
+    EXPECT_LE(got["batch.state_words"], 2 * 500 * 3 + 4 * 3);
+
+    // Batched one scheme each, the wide ones keep a ring apiece over
+    // the same entries: 8 words per entry where sharing keeps 3.
+    std::uint64_t alone = 0, blocks = 0;
+    for (const SchemeSpec &s : schemes) {
+        auto one = counters({s});
+        alone += one["batch.state_words"];
+        blocks += one["batch.learned_blocks"];
+    }
+    EXPECT_EQ(blocks, 4 * 500u);
+    const std::uint64_t narrow = 4 * 3;
+    EXPECT_EQ((got["batch.state_words"] - narrow) * 8,
+              (alone - narrow) * 3);
 }
 
 TEST(BatchStats, FootprintIsBoundedByTheTablesAtAnyTraceLength)

@@ -2,17 +2,21 @@
  * @file
  * Parameterized property sweeps over the scheme space on a real
  * (small-scale) workload trace: conservation and range invariants
- * that every scheme/update-mode combination must satisfy, plus
- * notation round-trips for the whole enumerated space.
+ * that every scheme/update-mode combination must satisfy, notation
+ * round-trips for the whole enumerated space, and the learnKey
+ * invariant the batched kernel's shared learned blocks rest on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <unordered_map>
 
 #include "common/rng.hh"
 #include "predict/evaluator.hh"
+#include "predict/step.hh"
 #include "sweep/batch.hh"
 #include "sweep/name.hh"
 #include "sweep/space.hh"
@@ -295,6 +299,251 @@ TEST(BatchedKernelProperty, BoundsAndConservationOnRandomizedBatches)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// learnKey: schemes on one index whose keys are equal hold the same
+// learned state after every event, on the reference evaluator.
+
+/** The window history as a table function, so the reference
+ *  PredictorTable drives it exactly as it drives the window rings. */
+class WindowHistoryFunction : public predict::PredictionFunction
+{
+  public:
+    explicit WindowHistoryFunction(unsigned depth) : depth_(depth) {}
+
+    FunctionKind kind() const override { return FunctionKind::Union; }
+    unsigned depth() const override { return depth_; }
+    std::size_t entryWords() const override { return depth_ + 1; }
+    std::uint64_t entryBits(unsigned) const override { return 0; }
+    SharingBitmap predict(const std::uint64_t *) const override
+    {
+        return SharingBitmap();
+    }
+    void update(std::uint64_t *state, SharingBitmap fb) const override
+    {
+        predict::windowHistoryPush(state, depth_, fb.raw());
+    }
+
+  private:
+    unsigned depth_;
+};
+
+/** Window members, PAs, and a perceptron grid whose Bloom widths
+ *  repeat every (depth, weight width, theta) key, on @p idx. */
+std::vector<SchemeSpec>
+learnKeySchemes(const predict::IndexSpec &idx)
+{
+    std::vector<SchemeSpec> schemes;
+    for (unsigned depth = 1; depth <= 4; ++depth) {
+        schemes.push_back(SchemeSpec{idx, FunctionKind::Union, depth});
+        if (depth > 1)
+            schemes.push_back(SchemeSpec{idx, FunctionKind::Inter, depth});
+    }
+    schemes.push_back(SchemeSpec{idx, FunctionKind::OverlapLast, 1});
+    for (unsigned depth : {1u, 2u, 2u})
+        schemes.push_back(SchemeSpec{idx, FunctionKind::PAs, depth});
+    for (unsigned depth : {2u, 4u})
+        for (unsigned wb : {4u, 5u})
+            for (unsigned theta : {1u, 3u})
+                for (unsigned bloom : {0u, 8u, 16u}) {
+                    SchemeSpec s{idx, FunctionKind::Perceptron, depth};
+                    s.perc.weightBits = wb;
+                    s.perc.theta = theta;
+                    s.perc.bloomBits = bloom;
+                    schemes.push_back(s);
+                }
+    return schemes;
+}
+
+/** Entry @p e of @p table. */
+const std::uint64_t *
+entryOf(const predict::PredictorTable &table, std::uint64_t e)
+{
+    return table.rawState().data() + e * table.entryWords();
+}
+
+/** Where entry @p e of the schemes of one key differ in learned
+ *  state: the perceptron's history and weights, a PAs entry, or a
+ *  window ring read newest first against the shared history @p h.
+ *  Empty when they agree. */
+std::string
+learnedStateMismatch(const std::vector<SchemeSpec> &schemes,
+                     const std::vector<predict::PredictorTable> &tables,
+                     const std::vector<std::size_t> &members,
+                     const std::uint64_t *h, std::uint64_t e)
+{
+    const SchemeSpec &first = schemes[members.front()];
+    std::size_t learned = tables[members.front()].entryWords();
+    if (first.kind == FunctionKind::Perceptron)
+        learned = predict::PerceptronFunction(first.depth,
+                                              tables.front().nNodes(),
+                                              first.perc)
+                      .learnedWords();
+    for (std::size_t i : members) {
+        const std::uint64_t *st = entryOf(tables[i], e);
+        const auto who = [&] { return sweep::formatScheme(schemes[i]); };
+        switch (predict::learnKey(schemes[i]).kind) {
+          case predict::LearnKey::Kind::WindowHistory: {
+            const bool overlap = schemes[i].kind == FunctionKind::OverlapLast;
+            const unsigned d = overlap ? 2 : schemes[i].depth;
+            const std::uint64_t count =
+                overlap ? st[0] : st[0] & 0xffffffffu;
+            if (count != std::min<std::uint64_t>(h[0], d))
+                return who() + ": update count";
+            for (unsigned j = 0; j < d; ++j) {
+                const std::uint64_t slot =
+                    overlap ? st[1 + j] : predict::windowRingSlot(st, d, j);
+                if (slot != h[1 + j])
+                    return who() + ": slot " + std::to_string(j);
+            }
+            break;
+          }
+          case predict::LearnKey::Kind::PAs:
+          case predict::LearnKey::Kind::Perceptron: {
+            const std::uint64_t *ref =
+                entryOf(tables[members.front()], e);
+            for (std::size_t w = 0; w < learned; ++w)
+                if (st[w] != ref[w])
+                    return who() + ": word " + std::to_string(w) + " vs " +
+                           sweep::formatScheme(first);
+            break;
+          }
+        }
+    }
+    return "";
+}
+
+/** 4000 writes over 48 blocks from 12 writers x 8 pcs with random
+ *  reader sets: every entry builds long, aliased writer chains. */
+const trace::SharingTrace &
+keyTrace()
+{
+    static const trace::SharingTrace tr = [] {
+        Rng rng(59);
+        ChainedTraceBuilder b(16);
+        for (int i = 0; i < 4000; ++i)
+            b.writeEvent(static_cast<NodeId>(rng.below(12)),
+                         0x400 + 4 * rng.below(8), rng.below(48),
+                         rng.below(3) ? rng() & rng() & 0xffff
+                                      : rng() & 0xffff);
+        return b.take();
+    }();
+    return tr;
+}
+
+void
+checkEqualKeysShareLearnedState(UpdateMode mode)
+{
+    const auto &tr = keyTrace();
+    const unsigned n_nodes = tr.nNodes();
+    const unsigned node_bits = predict::nodeBitsFor(n_nodes);
+    std::vector<predict::IndexSpec> indices(2);
+    indices[0].usePid = true;
+    indices[0].addrBits = 3;
+    indices[1].pcBits = 4;
+    indices[1].addrBits = 2;
+    indices[1].hashed = true;
+
+    std::vector<SharingBitmap> ordered_fb;
+    if (mode == UpdateMode::Ordered)
+        ordered_fb = predict::orderedFeedback(tr);
+
+    for (const predict::IndexSpec &idx : indices) {
+        SCOPED_TRACE(idx.fieldsName());
+        const std::vector<SchemeSpec> schemes = learnKeySchemes(idx);
+        std::vector<predict::PredictorTable> tables;
+        for (const SchemeSpec &s : schemes)
+            tables.push_back(s.makeTable(n_nodes));
+        constexpr unsigned history_depth = 4;
+        predict::PredictorTable history(
+            idx, std::make_shared<WindowHistoryFunction>(history_depth),
+            n_nodes);
+
+        // The schemes of each key, in list order.
+        std::vector<predict::LearnKey> keys;
+        std::vector<std::vector<std::size_t>> sets;
+        for (std::size_t i = 0; i < schemes.size(); ++i) {
+            const predict::LearnKey key = predict::learnKey(schemes[i]);
+            const std::size_t k = static_cast<std::size_t>(
+                std::find(keys.begin(), keys.end(), key) - keys.begin());
+            if (k == keys.size()) {
+                keys.push_back(key);
+                sets.emplace_back();
+            }
+            sets[k].push_back(i);
+        }
+        // Window history, PAs 1, PAs 2 (twice), and 8 perceptron keys
+        // of three Bloom widths each.
+        ASSERT_EQ(sets.size(), 11u);
+
+        EventSeq seq = 0;
+        for (const trace::CoherenceEvent &ev : tr.events()) {
+            const SharingBitmap fb = mode == UpdateMode::Ordered
+                                         ? ordered_fb[seq]
+                                         : SharingBitmap();
+            for (predict::PredictorTable &t : tables)
+                predict::stepEvent(t, ev, mode, fb);
+            predict::stepEvent(history, ev, mode, fb);
+            // Only the predicting and the learning entry can change.
+            const predict::Learner who = predict::learner(ev, mode);
+            for (std::uint64_t e :
+                 {idx.indexOf(ev, node_bits),
+                  idx.index(who.pid, who.pc, ev.dir, ev.block,
+                            node_bits)}) {
+                for (const auto &members : sets)
+                    ASSERT_EQ(learnedStateMismatch(schemes, tables,
+                                                   members,
+                                                   entryOf(history, e), e),
+                              "")
+                        << "entry " << e << " after event " << seq;
+            }
+            ++seq;
+        }
+    }
+}
+
+TEST(LearnKeyProperty, EqualKeysShareLearnedStateDirect)
+{
+    checkEqualKeysShareLearnedState(UpdateMode::Direct);
+}
+
+TEST(LearnKeyProperty, EqualKeysShareLearnedStateForwarded)
+{
+    checkEqualKeysShareLearnedState(UpdateMode::Forwarded);
+}
+
+TEST(LearnKeyProperty, EqualKeysShareLearnedStateOrdered)
+{
+    checkEqualKeysShareLearnedState(UpdateMode::Ordered);
+}
+
+TEST(LearnKeyProperty, KeyLeavesOutOnlyOutputFields)
+{
+    predict::IndexSpec idx;
+    idx.addrBits = 4;
+    const auto key = [&](FunctionKind kind, unsigned depth,
+                         unsigned wb = 5, unsigned theta = 2,
+                         unsigned bloom = 0) {
+        SchemeSpec s{idx, kind, depth};
+        s.perc = {wb, theta, bloom};
+        return predict::learnKey(s);
+    };
+    // Window depth and union/inter/overlap-last share one history.
+    EXPECT_EQ(key(FunctionKind::Union, 1), key(FunctionKind::Inter, 4));
+    EXPECT_EQ(key(FunctionKind::Union, 3),
+              key(FunctionKind::OverlapLast, 1));
+    // PAs depth is learned.
+    EXPECT_EQ(key(FunctionKind::PAs, 2), key(FunctionKind::PAs, 2));
+    EXPECT_NE(key(FunctionKind::PAs, 1), key(FunctionKind::PAs, 2));
+    EXPECT_NE(key(FunctionKind::PAs, 1), key(FunctionKind::Union, 1));
+    // Bloom width is output-only; depth, weight width and theta are
+    // learned.
+    const auto perc = key(FunctionKind::Perceptron, 2, 5, 2, 0);
+    EXPECT_EQ(perc, key(FunctionKind::Perceptron, 2, 5, 2, 16));
+    EXPECT_NE(perc, key(FunctionKind::Perceptron, 4, 5, 2, 0));
+    EXPECT_NE(perc, key(FunctionKind::Perceptron, 2, 4, 2, 0));
+    EXPECT_NE(perc, key(FunctionKind::Perceptron, 2, 5, 3, 0));
 }
 
 } // namespace
