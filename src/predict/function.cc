@@ -72,6 +72,16 @@ NodePlanes::pushHistory(std::uint64_t *h, unsigned depth,
         h[nw - 1] &= (std::uint64_t(1) << top) - 1;
 }
 
+bool
+NodePlanes::paddingClear(const std::uint64_t *w, unsigned planes) const
+{
+    for (unsigned k = 0; k < planes; ++k)
+        if (get(w, k) & ~nodeMask)
+            return false;
+    const unsigned top = (planes * width) % 64;
+    return top == 0 || (w[words(planes) - 1] >> top) == 0;
+}
+
 namespace {
 
 /** Load the @p depth history planes at @p state into @p hp. */
@@ -137,34 +147,40 @@ PAsFunction::counter(const std::uint64_t *state, unsigned node,
 SharingBitmap
 PAsFunction::predict(const std::uint64_t *state) const
 {
+    return SharingBitmap(withLiteralDepth(depth_, [&](auto depth) {
+        std::uint64_t hp[8] = {};
+        loadHistory(planes_, state, depth, hp);
+        const std::uint64_t *ctr = state + historyWords_;
+        // One pass per distinct pattern the nodes hold: the lowest
+        // node left names it, and every node sharing it reads its hi
+        // plane.
+        std::uint64_t left = planes_.nodeMask, pred = 0;
+        while (left) {
+            const unsigned p = historyOf(
+                hp, depth, unsigned(std::countr_zero(left)));
+            const std::uint64_t m = matching(hp, depth, p, left);
+            pred |= m & planes_.get(ctr, 2 * p + 1);
+            left &= ~m;
+        }
+        return pred;
+    }));
+}
+
+template <bool ThenPredict, class Depth>
+std::uint64_t
+PAsFunction::step(std::uint64_t *state, std::uint64_t fb,
+                  Depth depth) const
+{
+    fb &= planes_.nodeMask;
     std::uint64_t hp[8] = {};
-    loadHistory(planes_, state, depth_, hp);
-    const std::uint64_t *ctr = state + historyWords_;
-    // One pass per distinct pattern the nodes hold: the lowest node
-    // left names it, and every node sharing it reads its hi plane.
+    loadHistory(planes_, state, depth, hp);
+    std::uint64_t *ctr = state + historyWords_;
+    const unsigned last = (1u << depth) - 1;
     std::uint64_t left = planes_.nodeMask, pred = 0;
     while (left) {
         const unsigned p = historyOf(
-            hp, depth_, unsigned(std::countr_zero(left)));
-        const std::uint64_t m = matching(hp, depth_, p, left);
-        pred |= m & planes_.get(ctr, 2 * p + 1);
-        left &= ~m;
-    }
-    return SharingBitmap(pred);
-}
-
-void
-PAsFunction::update(std::uint64_t *state, SharingBitmap feedback) const
-{
-    const std::uint64_t fb = feedback.raw() & planes_.nodeMask;
-    std::uint64_t hp[8] = {};
-    loadHistory(planes_, state, depth_, hp);
-    std::uint64_t *ctr = state + historyWords_;
-    std::uint64_t left = planes_.nodeMask;
-    while (left) {
-        const unsigned p = historyOf(
-            hp, depth_, unsigned(std::countr_zero(left)));
-        const std::uint64_t m = matching(hp, depth_, p, left);
+            hp, depth, unsigned(std::countr_zero(left)));
+        const std::uint64_t m = matching(hp, depth, p, left);
         const std::uint64_t lo = planes_.get(ctr, 2 * p);
         const std::uint64_t hi = planes_.get(ctr, 2 * p + 1);
         // Bit-sliced saturating 2-bit counters: readers count up
@@ -173,9 +189,43 @@ PAsFunction::update(std::uint64_t *state, SharingBitmap feedback) const
         planes_.set(ctr, 2 * p,
                     lo ^ (inc & ~(hi & lo)) ^ (dec & (hi | lo)));
         planes_.set(ctr, 2 * p + 1, (hi | (inc & lo)) & ~(dec & ~lo));
+        if constexpr (ThenPredict) {
+            // Readers move to pattern q | 1, the rest to q.  Bit n of
+            // a counter plane changes only in the pass of n's own old
+            // pattern, which is this one: either way the plane is
+            // final at these nodes' bits.
+            const unsigned q = (p << 1) & last;
+            pred |= (inc & planes_.get(ctr, 2 * (q | 1) + 1)) |
+                    (dec & planes_.get(ctr, 2 * q + 1));
+        }
         left &= ~m;
     }
-    planes_.pushHistory(state, depth_, fb);
+    planes_.pushHistory(state, depth, fb);
+    return pred;
+}
+
+void
+PAsFunction::update(std::uint64_t *state, SharingBitmap feedback) const
+{
+    withLiteralDepth(depth_, [&](auto depth) {
+        return step<false>(state, feedback.raw(), depth);
+    });
+}
+
+SharingBitmap
+PAsFunction::updatePredict(std::uint64_t *state,
+                           SharingBitmap feedback) const
+{
+    return SharingBitmap(withLiteralDepth(depth_, [&](auto depth) {
+        return step<true>(state, feedback.raw(), depth);
+    }));
+}
+
+bool
+PAsFunction::validEntry(const std::uint64_t *state) const
+{
+    return planes_.paddingClear(state, depth_) &&
+           planes_.paddingClear(state + historyWords_, 2u << depth_);
 }
 
 std::uint64_t
@@ -190,7 +240,7 @@ namespace {
 constexpr std::uint64_t kLanes = 0x0001000100010001ull;
 /** The low byte of each 16-bit lane. */
 constexpr std::uint64_t kLowBytes = 0x00ff00ff00ff00ffull;
-/** The +128 weight bias, per byte. */
+/** The +128 weight bias, per byte; also the top bit of each byte. */
 constexpr std::uint64_t kBias = 0x8080808080808080ull;
 
 /** One in the low bit of each byte. */
@@ -206,6 +256,15 @@ constexpr std::array<std::uint64_t, 256> kByteOnes = [] {
     return t;
 }();
 
+/** 0xff in byte k where bit k of the index is clear: the byte lanes
+ *  a term takes negated, for one byte of a history plane. */
+constexpr std::array<std::uint64_t, 256> kNegBytes = [] {
+    std::array<std::uint64_t, 256> t{};
+    for (unsigned b = 0; b < 256; ++b)
+        t[b] = kByteOnes[~b & 0xff] * 0xff;
+    return t;
+}();
+
 /** 0x01 in each byte of @p x that is zero, exactly (no borrow runs
  *  between bytes). */
 inline std::uint64_t
@@ -214,6 +273,52 @@ zeroBytes(std::uint64_t x)
     const std::uint64_t low7 = 0x7f7f7f7f7f7f7f7full;
     return ~(((x & low7) + low7) | x | low7) >> 7;
 }
+
+/** The top bit of each byte of @p x, gathered to bits 0..7:
+ *  multiplying by the sum of 2^(56 - 7k) moves bit 8k to bit 56 + k,
+ *  and no two partial products share a bit. */
+inline std::uint64_t
+byteSigns(std::uint64_t x)
+{
+    return (((x >> 7) & kBytes) * 0x0102040810204080ull) >> 56;
+}
+
+/**
+ * Byte lanes: the biased dot products of 8 nodes, one per byte of
+ * one u64.  A term is u = w + B where the history bit is set and
+ * 2B - u = -w + B where it is clear; B = 2^(weightBits-1).  The
+ * constructor admits only schemes whose sums and threshold tests stay
+ * inside a byte.
+ */
+struct ByteLanes
+{
+    std::uint64_t sum;
+
+    /** The dots of the column whose row words are @p w, @p stride
+     *  apart, under the history bytes @p hb; @p mask is the low
+     *  weightBits of each byte and @p bias B per byte. */
+    static ByteLanes
+    dots(const std::uint64_t *w, std::size_t stride, unsigned depth,
+         const unsigned *hb, std::uint64_t mask, std::uint64_t bias)
+    {
+        // A weight's low weightBits with the sign bit flipped are
+        // w + B; flipping all of them gives 2B - 1 - u.
+        std::uint64_t sum = (w[0] & mask) ^ bias;
+        for (unsigned i = 0; i < depth; ++i) {
+            const std::uint64_t n = kNegBytes[hb[i]];
+            sum += (((w[(i + 1) * stride] ^ n) & mask) ^ bias) +
+                   (n & kBytes);
+        }
+        return {sum};
+    }
+
+    /** The top bit of each byte whose dot reaches the threshold
+     *  @p offset encodes. */
+    std::uint64_t reach(std::uint64_t offset) const
+    {
+        return (sum + offset) & kBias;
+    }
+};
 
 /** The lanes a term takes negated, for one byte of a history plane:
  *  0x00ff in lane k of `even` where bit 2k of the byte is clear, and
@@ -236,51 +341,65 @@ constexpr std::array<NegLanes, 256> kNegLanes = [] {
     return t;
 }();
 
-/** The top bit of each 16-bit lane of @p x, gathered to bits 0, 2, 4
- *  and 6: multiplying by 1 + 2^14 + 2^28 + 2^42 moves bit 16k to bit
- *  42 + 2k, and no two partial products share a bit. */
-inline std::uint64_t
-laneSigns(std::uint64_t x)
-{
-    return ((((x >> 15) & kLanes) * 0x0000040010004001ull) >> 42) & 0x55;
-}
-
-/** Biased dot products of 8 nodes, one per 16-bit lane: the even
- *  nodes' in `even`, the odd nodes' in `odd`. */
-struct LaneDots
+/**
+ * 16-bit lanes: the biased dot products of 8 nodes, the even nodes'
+ * in the lanes of `even`, the odd nodes' in `odd`.  Each row word's
+ * bytes, biased by +128 to u in [0, 255], give the term u where the
+ * history bit is set, else (u ^ 0xff) + 1 = 256 - u, i.e. -w + 128.
+ */
+struct WideLanes
 {
     std::uint64_t even, odd;
 
-    /** The nodes whose lane reaches the threshold @p offset encodes
-     *  (bit j of the result is node j of the 8). */
-    std::uint64_t
-    reach(std::uint64_t offset) const
+    /** As ByteLanes::dots(); the mask and bias are not used. */
+    static WideLanes
+    dots(const std::uint64_t *w, std::size_t stride, unsigned depth,
+         const unsigned *hb, std::uint64_t, std::uint64_t)
     {
-        return laneSigns(even + offset) | laneSigns(odd + offset) << 1;
+        std::uint64_t u = w[0] ^ kBias;
+        WideLanes d{u & kLowBytes, (u >> 8) & kLowBytes};
+        for (unsigned i = 0; i < depth; ++i) {
+            u = w[(i + 1) * stride] ^ kBias;
+            const NegLanes &n = kNegLanes[hb[i]];
+            d.even += ((u & kLowBytes) ^ n.even) + (n.even & kLanes);
+            d.odd += (((u >> 8) & kLowBytes) ^ n.odd) + (n.odd & kLanes);
+        }
+        return d;
+    }
+
+    /** As ByteLanes::reach(): each lane's top bit moved to the top
+     *  bit of its node's byte. */
+    std::uint64_t reach(std::uint64_t offset) const
+    {
+        return (((even + offset) >> 8) & (kLanes * 0x80)) |
+               ((odd + offset) & (kLanes * 0x8000));
     }
 };
 
-/** The lane dot products of nodes 8c..8c+7, from their word @p w of
- *  weight row 0 (each next row @p row_words on) and the history
- *  planes loaded into @p hp; @p shift is 8c. */
-inline LaneDots
-laneDots(const std::uint64_t *w, std::size_t row_words, unsigned depth,
-         const std::uint64_t *hp, unsigned shift)
+/**
+ * Train one column's depth + 1 row words @p w:
+ * every weight of the nodes in @p train moves one step toward
+ * agreeing with the outcome @p read, unless it sits at its clamp
+ * bound.  @p train and @p read are per-byte (0x01) masks; @p hb are
+ * the column's history bytes.  Biased to [0, 255], a byte at neither
+ * bound can step without carrying into the next.
+ */
+inline void
+trainColumn(std::uint64_t *w, unsigned depth, std::uint64_t train,
+            std::uint64_t read, const unsigned *hb, std::uint64_t at_max,
+            std::uint64_t at_min)
 {
-    // Biased to u = w + 128 in [0, 255], a row word's even bytes fill
-    // the lanes of one sum and its odd bytes the other.  Term i is u
-    // where history bit i is set, else (u ^ 0xff) + 1 = 256 - u, i.e.
-    // -w + 128.
-    std::uint64_t u = *w ^ kBias;
-    LaneDots d{u & kLowBytes, (u >> 8) & kLowBytes};
-    for (unsigned i = 0; i < depth; ++i) {
-        w += row_words;
-        u = *w ^ kBias;
-        const NegLanes &n = kNegLanes[(hp[i] >> shift) & 0xff];
-        d.even += ((u & kLowBytes) ^ n.even) + (n.even & kLanes);
-        d.odd += (((u >> 8) & kLowBytes) ^ n.odd) + (n.odd & kLanes);
+    for (unsigned i = 0; i <= depth; ++i) {
+        // The bias follows the outcome; weight i follows it where
+        // history bit i - 1 is set and opposes it where clear.
+        const std::uint64_t up =
+            i == 0 ? read : ~(read ^ kByteOnes[hb[i - 1]]) & kBytes;
+        std::uint64_t &word = w[i];
+        const std::uint64_t u = word ^ kBias;
+        const std::uint64_t inc = train & up & ~zeroBytes(u ^ at_max);
+        const std::uint64_t dec = train & ~up & ~zeroBytes(u ^ at_min);
+        word = (u + inc - dec) ^ kBias;
     }
-    return d;
 }
 
 } // namespace
@@ -311,14 +430,33 @@ PerceptronFunction::PerceptronFunction(unsigned depth,
     bloomWord_ = historyWords_ + weight_words;
     entryWords_ = bloomWord_ + (params.bloomBits > 0 ? 1 : 0);
 
-    // Each of the depth + 1 biased terms is (+-w) + 128 in [0, 256],
-    // so a lane sums to dot + 128 (depth + 1) <= 2304 and never
-    // carries.  Adding 0x8000 - T sets the lane's top bit exactly
-    // when the biased dot reaches T (T is in (0, 2304], no wrap).
-    const int bias = 128 * int(depth_ + 1);
+    // Byte lanes: each of the depth + 1 terms is (+-w) + B in
+    // [0, 2B], so a lane sums to dot + B (depth + 1) in
+    // [0, 2B (depth + 1)].  Adding 128 - T sets a byte's top bit
+    // exactly when the biased dot reaches T, for every test T in
+    // [B (depth + 1) - theta, B (depth + 1) + theta + 1], as long as
+    // 128 - T never goes negative and the sum plus it stays below
+    // 256: both hold iff B (depth + 1) + theta + 1 <= 128.  (Weights
+    // outside [weightMin, weightMax] would break the term bound;
+    // validEntry() keeps restored state from holding any.)
+    const int half = 1 << (params.weightBits - 1);
     const int theta = int(params.theta);
+    int bias = half * int(depth_ + 1);
+    byteLanes_ = bias + theta + 1 <= 128;
+    std::uint64_t lanes = kBytes, top = 0x80;
+    if (byteLanes_) {
+        laneMask_ = kBytes * std::uint64_t(2 * half - 1);
+        laneBias_ = kBytes * std::uint64_t(half);
+    } else {
+        // 16-bit lanes: terms (+-w) + 128 in [0, 256] sum to
+        // dot + 128 (depth + 1) <= 2304, and the tests T are in
+        // (0, 2304]: adding 0x8000 - T never wraps.
+        bias = 128 * int(depth_ + 1);
+        lanes = kLanes;
+        top = 0x8000;
+    }
     auto offset = [&](int t) {
-        return kLanes * std::uint64_t(0x8000 - (bias + t));
+        return lanes * std::uint64_t(int(top) - (bias + t));
     };
     atTheta_ = offset(theta);
     aboveTheta_ = offset(theta + 1);
@@ -433,18 +571,33 @@ PerceptronFunction::bloomGate(std::uint64_t raw, std::uint64_t word) const
     return raw;
 }
 
+template <class Lanes, class Depth>
+std::uint64_t
+PerceptronFunction::rawPredictIn(const std::uint64_t *state,
+                                 Depth depth) const
+{
+    std::uint64_t hp[8] = {};
+    loadHistory(planes_, state, depth, hp);
+    const std::uint64_t *rows = state + historyWords_;
+    std::uint64_t pred = 0;
+    for (unsigned c = 0; c * 8 < nNodes_; ++c) {
+        unsigned hb[8];
+        for (unsigned i = 0; i < depth; ++i)
+            hb[i] = unsigned(hp[i] >> (8 * c)) & 0xff;
+        const Lanes d = Lanes::dots(rows + c, rowWords_, depth, hb,
+                                    laneMask_, laneBias_);
+        pred |= byteSigns(d.reach(atTheta_)) << (8 * c);
+    }
+    return pred & planes_.nodeMask;
+}
+
 std::uint64_t
 PerceptronFunction::rawPredict(const std::uint64_t *state) const
 {
-    std::uint64_t hp[8] = {};
-    loadHistory(planes_, state, depth_, hp);
-    const std::uint64_t *rows = state + historyWords_;
-    std::uint64_t pred = 0;
-    for (unsigned c = 0; c * 8 < nNodes_; ++c)
-        pred |= laneDots(rows + c, rowWords_, depth_, hp, 8 * c)
-                    .reach(atTheta_)
-                << (8 * c);
-    return pred & planes_.nodeMask;
+    return withLiteralDepth(depth_, [&](auto depth) {
+        return byteLanes_ ? rawPredictIn<ByteLanes>(state, depth)
+                          : rawPredictIn<WideLanes>(state, depth);
+    });
 }
 
 SharingBitmap
@@ -456,55 +609,81 @@ PerceptronFunction::predict(const std::uint64_t *state) const
                              : raw);
 }
 
-std::uint64_t
-PerceptronFunction::learn(std::uint64_t *state, std::uint64_t fb) const
+template <class Lanes, bool ThenPredict, class Depth>
+PerceptronFunction::Decisions
+PerceptronFunction::learnIn(std::uint64_t *state, std::uint64_t fb,
+                            Depth depth) const
 {
     fb &= planes_.nodeMask;
     std::uint64_t hp[8] = {};
-    loadHistory(planes_, state, depth_, hp);
+    loadHistory(planes_, state, depth, hp);
     std::uint64_t *rows = state + historyWords_;
-
-    // The trainer sees the raw perceptron decision; the Bloom filter
-    // only gates emitted predictions.
-    std::uint64_t predicted = 0, low_margin = 0;
-    for (unsigned c = 0; c * 8 < nNodes_; ++c) {
-        const LaneDots d = laneDots(rows + c, rowWords_, depth_, hp, 8 * c);
-        predicted |= d.reach(atTheta_) << (8 * c);
-        low_margin |= (d.reach(atNegTheta_) & ~d.reach(aboveTheta_))
-                      << (8 * c);
-    }
-    predicted &= planes_.nodeMask;
-
-    // Train on a mispredict or a low-confidence hit: every weight of
-    // those nodes moves one step toward agreeing with the outcome,
-    // unless it sits at its clamp bound.  Biased to [0, 255], a byte
-    // at neither bound can step without carrying into the next.
-    const std::uint64_t train =
-        ((predicted ^ fb) | low_margin) & planes_.nodeMask;
     const std::uint64_t at_max = kBytes * unsigned(weightMax_ + 128);
     const std::uint64_t at_min = kBytes * unsigned(weightMin_ + 128);
+
+    Decisions out{0, 0};
     for (unsigned c = 0; c * 8 < nNodes_; ++c) {
-        const unsigned tb = unsigned(train >> (8 * c)) & 0xff;
-        if (!tb)
-            continue;
+        // The column's rows stay in registers from the old dots,
+        // through training, to the new ones.
+        std::uint64_t w[9];
+        unsigned hb[9];
+        for (unsigned i = 0; i <= depth; ++i)
+            w[i] = rows[i * rowWords_ + c];
+        for (unsigned i = 0; i < depth; ++i)
+            hb[i + 1] = unsigned(hp[i] >> (8 * c)) & 0xff;
         const unsigned read = unsigned(fb >> (8 * c)) & 0xff;
-        for (unsigned i = 0; i <= depth_; ++i) {
-            // The bias follows the outcome; weight i follows it where
-            // history bit i - 1 is set and opposes it where clear.
-            const unsigned up =
-                i == 0 ? read
-                       : ~(read ^ unsigned(hp[i - 1] >> (8 * c))) & 0xff;
-            std::uint64_t &word = rows[i * rowWords_ + c];
-            const std::uint64_t u = word ^ kBias;
-            const std::uint64_t inc =
-                kByteOnes[tb & up] & ~zeroBytes(u ^ at_max);
-            const std::uint64_t dec =
-                kByteOnes[tb & ~up] & ~zeroBytes(u ^ at_min);
-            word = (u + inc - dec) ^ kBias;
+        hb[0] = read;
+
+        // The trainer sees the raw perceptron decision; the Bloom
+        // filter only gates emitted predictions.  Train on a
+        // mispredict or a low-confidence hit (|dot| <= theta).
+        const Lanes d = Lanes::dots(w, 1, depth, hb + 1, laneMask_,
+                                    laneBias_);
+        const std::uint64_t reach = d.reach(atTheta_);
+        const std::uint64_t low_margin =
+            d.reach(atNegTheta_) & ~d.reach(aboveTheta_);
+        out.seen |= byteSigns(reach) << (8 * c);
+        const std::uint64_t read_bytes = kByteOnes[read];
+        const std::uint64_t train =
+            (((reach ^ (read_bytes << 7)) | low_margin) >> 7) &
+            kByteOnes[unsigned(planes_.nodeMask >> (8 * c)) & 0xff];
+        if (train) {
+            trainColumn(w, depth, train, read_bytes, hb + 1, at_max,
+                        at_min);
+            for (unsigned i = 0; i <= depth; ++i)
+                rows[i * rowWords_ + c] = w[i];
+        }
+        if constexpr (ThenPredict) {
+            // The pushed history, newest first, is the feedback and
+            // then the old bits: hb[0..depth - 1].
+            const Lanes n = Lanes::dots(w, 1, depth, hb, laneMask_,
+                                        laneBias_);
+            out.next |= byteSigns(n.reach(atTheta_)) << (8 * c);
         }
     }
-    planes_.pushHistory(state, depth_, fb);
-    return predicted;
+    planes_.pushHistory(state, depth, fb);
+    out.seen &= planes_.nodeMask;
+    out.next &= planes_.nodeMask;
+    return out;
+}
+
+std::uint64_t
+PerceptronFunction::learn(std::uint64_t *state, std::uint64_t fb) const
+{
+    return withLiteralDepth(depth_, [&](auto depth) {
+        return byteLanes_ ? learnIn<ByteLanes, false>(state, fb, depth)
+                          : learnIn<WideLanes, false>(state, fb, depth);
+    }).seen;
+}
+
+PerceptronFunction::Decisions
+PerceptronFunction::learnPredict(std::uint64_t *state,
+                                 std::uint64_t fb) const
+{
+    return withLiteralDepth(depth_, [&](auto depth) {
+        return byteLanes_ ? learnIn<ByteLanes, true>(state, fb, depth)
+                          : learnIn<WideLanes, true>(state, fb, depth);
+    });
 }
 
 void
@@ -516,6 +695,27 @@ PerceptronFunction::update(std::uint64_t *state,
     // Would-be false positives are dead readers.
     if (params_.bloomBits > 0)
         bloomRecord(state[bloomWord_], predicted & ~fb);
+}
+
+bool
+PerceptronFunction::validEntry(const std::uint64_t *state) const
+{
+    if (!planes_.paddingClear(state, depth_))
+        return false;
+    // Row padding bytes hold zero, every node's weight its range.
+    for (unsigned i = 0; i <= depth_; ++i)
+        for (unsigned n = 0; n < 8 * rowWords_; ++n) {
+            const int w = weight(state, n, i);
+            if (n < nNodes_ ? w < weightMin_ || w > weightMax_ : w != 0)
+                return false;
+        }
+    if (params_.bloomBits == 0)
+        return true;
+    const std::uint64_t word = state[bloomWord_];
+    const std::uint64_t filter_bits =
+        params_.bloomBits == 32 ? 0xffffffffull
+                                : (std::uint64_t(1) << params_.bloomBits) - 1;
+    return (word >> 32) <= bloomCap_ && (word & 0xffffffffull & ~filter_bits) == 0;
 }
 
 std::unique_ptr<PredictionFunction>

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "common/bitmap.hh"
 #include "common/types.hh"
@@ -101,6 +102,15 @@ class PredictionFunction
     virtual void update(std::uint64_t *state,
                         SharingBitmap feedback) const = 0;
 
+    /**
+     * Whether @p state is an entry update() could have produced from
+     * zero: every ring position and count in range, every weight
+     * inside its clamp bounds, every padding bit zero.  A restored
+     * snapshot is checked with it, since predict() and update() index
+     * and add without re-checking the words they read.
+     */
+    virtual bool validEntry(const std::uint64_t *state) const = 0;
+
     /** Family name: "union", "inter", "pas", "overlap-last", or
      *  "perceptron". */
     std::string name() const { return functionKindName(kind()); }
@@ -150,6 +160,14 @@ windowUpdate(std::uint64_t *state, unsigned depth, std::uint64_t feedback)
     state[0] = (std::uint64_t(pos) << 32) | count;
 }
 
+/** Whether @p state holds a @p depth-slot window ring: its next
+ *  slot below @p depth and its count at most @p depth. */
+inline bool
+windowEntryValid(const std::uint64_t *state, unsigned depth)
+{
+    return (state[0] >> 32) < depth && (state[0] & 0xffffffffu) <= depth;
+}
+
 /** Overlap-last predict: the last bitmap if it overlaps the one
  *  before it, else empty.  Word 0 is a valid count (saturating at 2);
  *  words 1..2 are the last and previous bitmaps. */
@@ -178,6 +196,27 @@ windowRingSlot(const std::uint64_t *state, unsigned depth, unsigned i)
 {
     const unsigned pos = static_cast<unsigned>(state[0] >> 32);
     return state[1 + (pos + depth - 1 - i) % depth];
+}
+
+/** Call @p f with @p depth as a std::integral_constant for the depths
+ *  1-4 the sweeps run, so loops over a history fold away, else as
+ *  an unsigned. */
+template <class F>
+inline decltype(auto)
+withLiteralDepth(unsigned depth, F &&f)
+{
+    switch (depth) {
+      case 1:
+        return f(std::integral_constant<unsigned, 1>());
+      case 2:
+        return f(std::integral_constant<unsigned, 2>());
+      case 3:
+        return f(std::integral_constant<unsigned, 3>());
+      case 4:
+        return f(std::integral_constant<unsigned, 4>());
+      default:
+        return f(depth);
+    }
 }
 
 /**
@@ -264,6 +303,10 @@ class WindowFunction : public PredictionFunction
     {
         windowUpdate(state, depth_, feedback.raw());
     }
+    bool validEntry(const std::uint64_t *state) const override
+    {
+        return windowEntryValid(state, depth_);
+    }
 
   private:
     FunctionKind kind_;
@@ -309,6 +352,10 @@ struct NodePlanes
     void pushHistory(std::uint64_t *h, unsigned depth,
                      std::uint64_t fb) const;
 
+    /** Whether every bit of the @p planes-plane array at @p w outside
+     *  the node bits of its planes is zero. */
+    bool paddingClear(const std::uint64_t *w, unsigned planes) const;
+
     unsigned width;          ///< bits per plane: bit_ceil(nodes)
     std::uint64_t planeMask; ///< low `width` bits
     std::uint64_t nodeMask;  ///< low `nodes` bits
@@ -327,6 +374,12 @@ struct NodePlanes
  * is a bit-sliced saturating increment (readers) or decrement (the
  * rest) of those nodes' counters.  Both loop over the distinct
  * patterns present, at most min(nodes, 2^depth), not over all 2^depth.
+ *
+ * updatePredict() is update() then predict() in that one loop: a node
+ * whose old pattern was p predicts from counter (p << 1 | read) of
+ * its new pattern, which is either the counter of p it just stepped
+ * or a counter no other node's pass changes at its bit (a pass only
+ * writes its own nodes' bits).
  */
 class PAsFunction : public PredictionFunction
 {
@@ -344,12 +397,22 @@ class PAsFunction : public PredictionFunction
     SharingBitmap predict(const std::uint64_t *state) const override;
     void update(std::uint64_t *state,
                 SharingBitmap feedback) const override;
+    bool validEntry(const std::uint64_t *state) const override;
+
+    /** update() then predict(), in one pass over the patterns. */
+    SharingBitmap updatePredict(std::uint64_t *state,
+                                SharingBitmap feedback) const;
 
     /** The 2-bit counter @p node keeps for history @p pattern. */
     unsigned counter(const std::uint64_t *state, unsigned node,
                      unsigned pattern) const;
 
   private:
+    /** update(); @return predict() after it if @p ThenPredict. */
+    template <bool ThenPredict, class Depth>
+    std::uint64_t step(std::uint64_t *state, std::uint64_t fb,
+                       Depth depth) const;
+
     unsigned depth_;
     NodePlanes planes_;
     std::size_t historyWords_;
@@ -384,6 +447,10 @@ class OverlapLastFunction : public PredictionFunction
                 SharingBitmap feedback) const override
     {
         overlapLastUpdate(state, feedback.raw());
+    }
+    bool validEntry(const std::uint64_t *state) const override
+    {
+        return state[0] <= 2;
     }
 };
 
@@ -439,9 +506,22 @@ struct PerceptronParams
  * weights weight-index-major as int8 — row i holds w_i of every node,
  * byte n % 8 of word n / 8, padded to whole words — then (if enabled)
  * one Bloom word (filter in the low 32 bits, insert count above).
- * One row word serves 8 nodes: its even and odd bytes, biased by
- * +128, become the 16-bit lanes of two u64 sums, so every term is
- * non-negative and no lane can carry into the next.
+ *
+ * One row word serves 8 nodes, in lanes of a width the constructor
+ * picks from (depth, weightBits, theta) alone.  With B =
+ * 2^(weightBits-1), each term +-w + B is in [0, 2B], so the biased
+ * dots of 8 nodes sum in the byte lanes of one u64 without a carry
+ * whenever the widest threshold test fits a byte:
+ * B (depth + 1) + theta + 1 <= 128 (byteLanes()).  Other schemes
+ * split each row word's even and odd bytes, biased by +128, into the
+ * 16-bit lanes of two sums, which cannot carry at any width or depth.
+ * Both widths hand training the same per-byte masks, so training is
+ * defined once.
+ *
+ * learnPredict() is learn() then rawPredict() with each 8-node
+ * column's rows read once: the old dots, the training step, then the
+ * new dots from the trained words and the pushed history (newest bit
+ * the feedback, bit i the old bit i - 1).
  */
 class PerceptronFunction : public PredictionFunction
 {
@@ -464,8 +544,11 @@ class PerceptronFunction : public PredictionFunction
     SharingBitmap predict(const std::uint64_t *state) const override;
     void update(std::uint64_t *state,
                 SharingBitmap feedback) const override;
+    bool validEntry(const std::uint64_t *state) const override;
 
     const PerceptronParams &params() const { return params_; }
+    /** True if the dot products run in byte lanes (see above). */
+    bool byteLanes() const { return byteLanes_; }
     int weightMin() const { return weightMin_; }
     int weightMax() const { return weightMax_; }
 
@@ -494,6 +577,16 @@ class PerceptronFunction : public PredictionFunction
      *  before training. */
     std::uint64_t learn(std::uint64_t *state, std::uint64_t fb) const;
 
+    /** The raw decisions on either side of one training step. */
+    struct Decisions
+    {
+        std::uint64_t seen; ///< learn()'s return: before training
+        std::uint64_t next; ///< rawPredict() after training
+    };
+
+    /** learn() then rawPredict(), reading each weight word once. */
+    Decisions learnPredict(std::uint64_t *state, std::uint64_t fb) const;
+
     /** @p raw with the nodes Bloom filter word @p word suppresses
      *  cleared (@p raw unchanged when the filter is disabled). */
     std::uint64_t bloomGate(std::uint64_t raw, std::uint64_t word) const;
@@ -513,6 +606,16 @@ class PerceptronFunction : public PredictionFunction
                          unsigned node) const;
 
   private:
+    /** rawPredict() in lanes of type Lanes. */
+    template <class Lanes, class Depth>
+    std::uint64_t rawPredictIn(const std::uint64_t *state,
+                               Depth depth) const;
+    /** learn(), and rawPredict() after it if @p ThenPredict, in lanes
+     *  of type Lanes. */
+    template <class Lanes, bool ThenPredict, class Depth>
+    Decisions learnIn(std::uint64_t *state, std::uint64_t fb,
+                      Depth depth) const;
+
     unsigned depth_;
     unsigned nNodes_;
     PerceptronParams params_;
@@ -526,6 +629,9 @@ class PerceptronFunction : public PredictionFunction
     /** Word index of the Bloom word; entryWords_ if disabled. */
     std::size_t bloomWord_;
     unsigned bloomCap_ = 0;
+    bool byteLanes_;
+    /** Byte lanes: the low weightBits of each byte, and B per byte. */
+    std::uint64_t laneMask_ = 0, laneBias_ = 0;
     /** Per-lane threshold offsets: a biased lane dot plus one of
      *  these sets the lane's top bit iff dot >= theta, dot > theta,
      *  dot >= -theta respectively. */

@@ -17,7 +17,8 @@
  *    forwarded (learnsFirst()); the event's own eventual outcome
  *    (orderedFeedback()), always, under ordered;
  *  - when: before the prediction under direct and forwarded, after it
- *    under ordered (stepWith()).
+ *    under ordered (stepFused(), and stepWith() for operations with no
+ *    fused form).
  *
  * Direct update is a heuristic when writers alternate: a writer may
  * learn someone else's history.  Ordered update is the oracle: each
@@ -104,22 +105,52 @@ orderedFeedback(const trace::SharingTrace &trace);
  * One event's order/feedback rule over abstract entry operations, so
  * table consumers and the batched kernel (raw state words) share it.
  * @p predict() reads the predicting entry; @p learn(fb) folds the
- * SharingBitmap @p fb into the learner()'s entry.  @p ordered_fb is
- * read only under ordered update.  @return what predict() returned.
+ * SharingBitmap @p fb into the learner()'s entry.  When @p fuse (the
+ * learner's entry is the predicting one), the pair runs as one op
+ * instead: @p learn_predict(fb), exactly learn(fb) then predict(), or
+ * @p predict_learn(fb), exactly predict() then learn(fb), returning
+ * what predict() would.  @p ordered_fb is read only under ordered
+ * update.  @return what predict() returned.
  */
+template <class Predict, class Learn, class LearnPredict, class PredictLearn>
+inline auto
+stepFused(const trace::CoherenceEvent &ev, UpdateMode mode,
+          SharingBitmap ordered_fb, bool fuse, Predict &&predict,
+          Learn &&learn, LearnPredict &&learn_predict,
+          PredictLearn &&predict_learn)
+{
+    if (mode == UpdateMode::Ordered) {
+        if (fuse)
+            return predict_learn(ordered_fb);
+        auto pred = predict();
+        learn(ordered_fb);
+        return pred;
+    }
+    if (learnsFirst(ev, mode)) {
+        if (fuse)
+            return learn_predict(ev.invalidated);
+        learn(ev.invalidated);
+    }
+    return predict();
+}
+
+/** stepFused() for operations with no fused form. */
 template <class Predict, class Learn>
 inline auto
 stepWith(const trace::CoherenceEvent &ev, UpdateMode mode,
          SharingBitmap ordered_fb, Predict &&predict, Learn &&learn)
 {
-    if (mode == UpdateMode::Ordered) {
-        auto pred = predict();
-        learn(ordered_fb);
-        return pred;
-    }
-    if (learnsFirst(ev, mode))
-        learn(ev.invalidated);
-    return predict();
+    return stepFused(
+        ev, mode, ordered_fb, /*fuse=*/false, predict, learn,
+        [&](SharingBitmap fb) {
+            learn(fb);
+            return predict();
+        },
+        [&](SharingBitmap fb) {
+            auto pred = predict();
+            learn(fb);
+            return pred;
+        });
 }
 
 /**

@@ -84,6 +84,9 @@ PredictorTable::restoreRawState(const std::vector<std::uint64_t> &words)
 {
     if (words.size() != state_.size())
         return false;
+    for (std::size_t e = 0; e < entries_; ++e)
+        if (!function_->validEntry(words.data() + e * entryWords_))
+            return false;
     state_ = words;
     return true;
 }

@@ -86,7 +86,8 @@ class PredictorTable
     /**
      * Replace the entry state with a previously captured rawState().
      * @return false (state untouched) when @p words has the wrong
-     * geometry for this table.
+     * geometry for this table or an entry the function's update()
+     * could not have produced (PredictionFunction::validEntry()).
      */
     bool restoreRawState(const std::vector<std::uint64_t> &words);
 

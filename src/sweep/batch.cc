@@ -259,7 +259,9 @@ BatchEvaluator::stepBlock(const Block &b, std::uint64_t *entry,
                           SharingBitmap fb_ordered, std::uint64_t *out)
 {
     // The opcode picks the family's transitions; the shared rule
-    // orders them.  Predicting writes every output the members read.
+    // orders them, fusing a learned family's two halves when one
+    // entry learns and predicts.  Predicting writes every output the
+    // members read.
     const auto window = [&](auto depth) {
         predict::stepWith(
             ev, mode, fb_ordered,
@@ -273,56 +275,69 @@ BatchEvaluator::stepBlock(const Block &b, std::uint64_t *entry,
     };
     switch (b.op) {
       case Op::Window:
-        // The paper grid's depths as literals: the chain folds away.
-        switch (b.depth) {
-          case 1:
-            window(std::integral_constant<unsigned, 1>());
-            break;
-          case 2:
-            window(std::integral_constant<unsigned, 2>());
-            break;
-          case 3:
-            window(std::integral_constant<unsigned, 3>());
-            break;
-          case 4:
-            window(std::integral_constant<unsigned, 4>());
-            break;
-          default:
-            window(b.depth);
-            break;
-        }
+        predict::withLiteralDepth(b.depth, window);
         break;
-      case Op::PAs:
+      case Op::PAs: {
         // Qualified calls: no virtual dispatch in the loop.
-        predict::stepWith(
-            ev, mode, fb_ordered,
-            [&] {
-                out[0] = b.pas->PAsFunction::predict(entry).raw();
+        const PAsFunction &pas = *b.pas;
+        const auto predict = [&] {
+            out[0] = pas.PAsFunction::predict(entry).raw();
+            return 0;
+        };
+        const auto learn = [&](SharingBitmap fb) {
+            pas.PAsFunction::update(upd, fb);
+        };
+        predict::stepFused(
+            ev, mode, fb_ordered, upd == entry, predict, learn,
+            [&](SharingBitmap fb) {
+                out[0] = pas.updatePredict(entry, fb).raw();
                 return 0;
             },
-            [&](SharingBitmap fb) { b.pas->PAsFunction::update(upd, fb); });
+            [&](SharingBitmap fb) {
+                predict();
+                learn(fb);
+                return 0;
+            });
         break;
+      }
       case Op::Perceptron: {
         // One dot-product pass and one training step for the key;
         // each Bloom member gates the raw decision with its own word
         // and records the raw positives that died in it.
-        const std::size_t learned = b.perc->learnedWords();
+        const PerceptronFunction &perc = *b.perc;
+        const std::size_t learned = perc.learnedWords();
         const std::size_t n_blooms = b.blooms.size();
-        predict::stepWith(
-            ev, mode, fb_ordered,
+        const auto gate = [&](std::uint64_t raw) {
+            out[0] = raw;
+            for (std::size_t k = 0; k < n_blooms; ++k)
+                out[1 + k] = b.blooms[k]->bloomGate(raw, entry[learned + k]);
+        };
+        const auto record = [&](std::uint64_t *state, std::uint64_t dead) {
+            for (std::size_t k = 0; k < n_blooms; ++k)
+                b.blooms[k]->bloomRecord(state[learned + k], dead);
+        };
+        predict::stepFused(
+            ev, mode, fb_ordered, upd == entry,
             [&] {
-                const std::uint64_t raw = b.perc->rawPredict(entry);
-                out[0] = raw;
-                for (std::size_t k = 0; k < n_blooms; ++k)
-                    out[1 + k] =
-                        b.blooms[k]->bloomGate(raw, entry[learned + k]);
+                gate(perc.rawPredict(entry));
                 return 0;
             },
             [&](SharingBitmap fb) {
-                const std::uint64_t dead =
-                    b.perc->learn(upd, fb.raw()) & ~fb.raw();
-                for (std::size_t k = 0; k < n_blooms; ++k)
-                    b.blooms[k]->bloomRecord(upd[learned + k], dead);
+                record(upd, perc.learn(upd, fb.raw()) & ~fb.raw());
+            },
+            [&](SharingBitmap fb) {
+                const PerceptronFunction::Decisions d =
+                    perc.learnPredict(entry, fb.raw());
+                record(entry, d.seen & ~fb.raw());
+                gate(d.next);
+                return 0;
+            },
+            [&](SharingBitmap fb) {
+                // The prediction is the decision the trainer sees.
+                const std::uint64_t raw = perc.learn(entry, fb.raw());
+                gate(raw);
+                record(entry, raw & ~fb.raw());
+                return 0;
             });
         break;
       }

@@ -19,7 +19,10 @@
  * trace, first-touch dense ids for wide ones — meet in one batch;
  * schemes that share a learned block (window depths, perceptron Bloom
  * widths) are mixed with ones that must not, in one batch and split
- * across batches; and a zero-event trace must come out all zero.
+ * across batches; PAs and perceptron keys of both lane widths run
+ * their fused learn-then-predict op where forwarded update's learner
+ * entry is the predicting one and their two ops where it is not; and
+ * a zero-event trace must come out all zero.
  */
 
 #include <gtest/gtest.h>
@@ -605,6 +608,97 @@ TEST(Differential, LearnedBlocksSixteenNodes)
 TEST(Differential, LearnedBlocksSixtyFourNodes)
 {
     runLearnedBlockDifferential(/*seed=*/101, /*n_nodes=*/64);
+}
+
+// ---------------------------------------------------------------------
+// Fused steps: the kernel runs a learned block's learn and predict as
+// one op when one entry does both, and as two ops otherwise.
+
+/**
+ * PAs and perceptron keys on indices where the forwarded learner's
+ * entry is always the predicting one (address only), sometimes (a
+ * narrow pc field aliases writers) and mostly not (pid + pc); the
+ * perceptron keys run in byte lanes (w5, w4) and in 16-bit lanes (w8,
+ * w6 at depth 4, w5 at depth 8), each with Bloom members.
+ */
+std::vector<SchemeSpec>
+fusedStepSchemes(const std::vector<IndexSpec> &indices)
+{
+    std::vector<SchemeSpec> s;
+    for (const IndexSpec &idx : indices) {
+        s.push_back(SchemeSpec{idx, FunctionKind::PAs, 2});
+        s.push_back(perceptronOf(idx, 2, 5, 2, 0));
+        s.push_back(perceptronOf(idx, 2, 8, 6, 16));
+        s.push_back(perceptronOf(idx, 4, 6, 4, 8));
+        s.push_back(SchemeSpec{idx, FunctionKind::PAs, 4});
+        s.push_back(perceptronOf(idx, 2, 5, 2, 16));
+        s.push_back(perceptronOf(idx, 8, 5, 2, 0));
+        s.push_back(perceptronOf(idx, 2, 8, 6, 0));
+        s.push_back(perceptronOf(idx, 4, 4, 1, 32));
+        s.push_back(perceptronOf(idx, 4, 6, 4, 0));
+    }
+    return s;
+}
+
+void
+runFusedStepDifferential(std::uint64_t seed, unsigned n_nodes)
+{
+    const unsigned node_bits = predict::nodeBitsFor(n_nodes);
+    const std::vector<IndexSpec> indices = {
+        indexOf(false, 0, true, 6), indexOf(false, 2, false, 0),
+        indexOf(true, 6, false, 0), indexOf(true, 4, false, 4, true)};
+    Rng rng(seed);
+    const SharingTrace tr = ghostWriterTrace(rng, n_nodes, 2500);
+
+    // Forwarded update must both fuse and not fuse on each of the
+    // last three indices; the address-only one always fuses.
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+        std::size_t same = 0, other = 0;
+        for (const CoherenceEvent &ev : tr.events()) {
+            if (!ev.hasPrevWriter)
+                continue;
+            const predict::Learner who =
+                predict::learner(ev, UpdateMode::Forwarded);
+            const bool eq =
+                indices[k].indexOf(ev, node_bits) ==
+                indices[k].index(who.pid, who.pc, ev.dir, ev.block,
+                                 node_bits);
+            ++(eq ? same : other);
+        }
+        EXPECT_GT(same, 0u) << indices[k].fieldsName();
+        if (k == 0)
+            EXPECT_EQ(other, 0u);
+        else
+            EXPECT_GT(other, 0u) << indices[k].fieldsName();
+    }
+
+    const std::vector<SchemeSpec> schemes = fusedStepSchemes(indices);
+    bool byte = false, wide = false;
+    for (const SchemeSpec &sc : schemes) {
+        if (sc.kind != FunctionKind::Perceptron)
+            continue;
+        const bool b = predict::PerceptronFunction(sc.depth, n_nodes, sc.perc)
+                           .byteLanes();
+        byte |= b;
+        wide |= !b;
+    }
+    ASSERT_TRUE(byte && wide);
+    expectBatchMatchesReference(schemes, tr, n_nodes);
+}
+
+TEST(Differential, FusedStepsFourNodes)
+{
+    runFusedStepDifferential(/*seed=*/103, /*n_nodes=*/4);
+}
+
+TEST(Differential, FusedStepsSixteenNodes)
+{
+    runFusedStepDifferential(/*seed=*/107, /*n_nodes=*/16);
+}
+
+TEST(Differential, FusedStepsSixtyFourNodes)
+{
+    runFusedStepDifferential(/*seed=*/109, /*n_nodes=*/64);
 }
 
 TEST(Differential, ZeroEventTraceIsAllZeroInEveryMode)

@@ -324,6 +324,10 @@ class WindowHistoryFunction : public predict::PredictionFunction
     {
         predict::windowHistoryPush(state, depth_, fb.raw());
     }
+    bool validEntry(const std::uint64_t *state) const override
+    {
+        return state[0] <= depth_;
+    }
 
   private:
     unsigned depth_;

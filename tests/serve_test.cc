@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -790,6 +791,82 @@ TEST_F(ServerSnapshotTest, SnapshotNowWhileServingIsRestorable)
     for (unsigned c = 0; c < 2; ++c) {
         const SessionStats s = revived.stats(c);
         EXPECT_EQ(s.total.decisions(), s.events * kNodes);
+    }
+}
+
+/** A snapshot whose table words the function's update() could not
+ *  have produced — a ring position past its depth, a weight past its
+ *  clamp, a set padding bit, a Bloom count past capacity — is refused
+ *  as a decode failure (Invalid), even under a valid key and
+ *  checksum: predict and update index and add with what they read. */
+TEST_F(ServerSnapshotTest, RestoreRejectsEntryStateUpdateCannotReach)
+{
+    struct Case
+    {
+        const char *scheme;
+        unsigned nodes;
+        std::size_t word; ///< of session 0's table state
+        std::uint64_t value;
+        const char *what;
+    };
+    const Case cases[] = {
+        {"inter(pid+pc4)2", 8, 0, std::uint64_t(2) << 32,
+         "ring position == depth"},
+        {"inter(pid+pc4)2", 8, 3, 0xffffffffull << 32,
+         "ring position far past depth"},
+        {"union(pid+pc4)3", 8, 0, 4, "ring count > depth"},
+        {"overlap-last(pid+pc4)1", 8, 0, 3, "overlap-last count > 2"},
+        {"pas(pid+pc4)2", 8, 0, std::uint64_t(1) << 16,
+         "bit past the history planes"},
+        {"pas(pid+pc4)2", 6, 1, std::uint64_t(1) << 7,
+         "padding node of a counter plane"},
+        {"perceptron(pid+pc4)2w5t2b16", 8, 1, 0x10,
+         "weight above weightMax"},
+        {"perceptron(pid+pc4)2w5t2b16", 8, 2, 0xef00,
+         "weight below weightMin"},
+        {"perceptron(pid+pc4)2w5t2b16", 8, 0, std::uint64_t(1) << 20,
+         "bit past the history planes"},
+        {"perceptron(pid+pc4)2w5t2b16", 6, 3, std::uint64_t(1) << 48,
+         "padding weight lane"},
+        {"perceptron(pid+pc4)2w5t2b16", 8, 4, std::uint64_t(5) << 32,
+         "Bloom count > capacity"},
+        {"perceptron(pid+pc4)2w5t2b16", 8, 4, std::uint64_t(1) << 16,
+         "Bloom bit past the filter"},
+    };
+    // The session's table state follows the session count and six
+    // header words (id, events, tp, fp, tn, fn) and its word count.
+    constexpr std::size_t state_at = 8 * 8;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << c.scheme << " at " << c.nodes
+                                        << " nodes: " << c.what);
+        ServeOptions opts;
+        opts.session = makeConfig(c.scheme, 32);
+        opts.nNodes = c.nodes;
+        opts.sessions = 1;
+        opts.snapshotPath = snapPath();
+        PredictServer server(opts);
+        ASSERT_TRUE(server.start());
+        server.stop(); // an empty-stream snapshot: every entry zero
+
+        std::vector<char> payload;
+        ASSERT_EQ(sweep::loadStateBlob(snapPath(), server.snapshotKey(),
+                                       payload),
+                  sweep::CheckpointLoad::Ok);
+        std::uint64_t words = 0;
+        std::memcpy(&words, payload.data() + state_at - 8, 8);
+        ASSERT_LT(c.word, words);
+        std::memcpy(payload.data() + state_at + 8 * c.word, &c.value, 8);
+        ASSERT_TRUE(sweep::saveStateBlob(snapPath(), server.snapshotKey(),
+                                         payload));
+        PredictServer revived(opts);
+        EXPECT_EQ(revived.restore(), sweep::CheckpointLoad::Invalid);
+        // The same blob with the word zeroed again restores.
+        const std::uint64_t zero = 0;
+        std::memcpy(payload.data() + state_at + 8 * c.word, &zero, 8);
+        ASSERT_TRUE(sweep::saveStateBlob(snapPath(), server.snapshotKey(),
+                                         payload));
+        PredictServer control(opts);
+        EXPECT_EQ(control.restore(), sweep::CheckpointLoad::Ok);
     }
 }
 
