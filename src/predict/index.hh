@@ -43,7 +43,10 @@ struct IndexSpec
      * the same indexBits() total — so truncation wastes no entropy
      * and the implementation cost accounting is unchanged.  The
      * participating-field set (and Table 1 class) is the same either
-     * way; only the entry mapping differs.
+     * way; only the entry mapping differs.  A hashed index depends on
+     * its field set and indexBits() alone: specs that split one width
+     * differently between pc and addr (pc4+add6, pc6+add4) compile to
+     * one IndexPlan, the same entry mapping under two names.
      */
     bool hashed = false;
 
@@ -186,6 +189,8 @@ struct IndexPlan
     {
         return fromWords(pid, pc >> 2, dir, block);
     }
+
+    bool operator==(const IndexPlan &) const = default;
 };
 
 /** Compile @p spec into its branch-free extraction plan. */

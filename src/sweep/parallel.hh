@@ -79,13 +79,18 @@ class ParallelSweep
      * bit-identical across kernels, thread counts and completion
      * orders.  The reference kernel hands one scheme per task and
      * records "sweep.scheme_eval_seconds" / "sweep.schemes_evaluated"
-     * exactly as the sequential path did; the batched kernel hands a
-     * batch of schemes per task (see planBatches), records
-     * "sweep.batch_eval_seconds" / "sweep.batches_evaluated" plus the
-     * same "sweep.schemes_evaluated" total, and its per-walk
-     * throughput lands in "batch.*".  @p progress (if set) observes
-     * completions with monotonically advancing scheme done counts
-     * under either kernel.
+     * exactly as the sequential path did.  The batched kernel first
+     * classifies each trace (sweep/partition.hh: a scheme whose
+     * result provably equals an earlier scheme's on a trace copies
+     * it; "sweep.classify_seconds", "sweep.partition_classes",
+     * "sweep.shared_scheme_traces"), then hands a batch of one
+     * trace's evaluated schemes per task (see planBatches), shared by
+     * the traces whose cuts yield the same batch.  It records
+     * "sweep.batch_eval_seconds" per task, "sweep.batches_evaluated"
+     * per (trace, batch) walk and the same "sweep.schemes_evaluated"
+     * total, and its per-walk throughput lands in "batch.*".
+     * @p progress (if set) observes completions with monotonically
+     * advancing scheme done counts under either kernel.
      */
     std::vector<predict::SuiteResult>
     evaluate(const std::vector<trace::SharingTrace> &traces,

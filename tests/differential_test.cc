@@ -40,6 +40,7 @@
 #include "sweep/batch.hh"
 #include "sweep/name.hh"
 #include "sweep/parallel.hh"
+#include "sweep/partition.hh"
 
 namespace {
 
@@ -978,6 +979,18 @@ TEST(PlanBatches, PlanDoesNotDependOnThreadCount)
     suite.push_back(randomTrace(rng, 16, 300, "beta"));
     const auto plan = sweep::planBatches(schemes, 16);
     ASSERT_GE(plan.size(), 3u);
+    std::size_t tasks = 0;
+    for (const SharingTrace &tr : suite) {
+        const sweep::TraceSharing sharing =
+            sweep::PartitionClassifier(schemes, 16)
+                .classify(tr, UpdateMode::Forwarded);
+        std::vector<SchemeSpec> evaluated;
+        for (std::size_t i = 0; i < schemes.size(); ++i)
+            if (sharing.rep[i] == i)
+                evaluated.push_back(schemes[i]);
+        ASSERT_LT(evaluated.size(), schemes.size());
+        tasks += sweep::planBatches(evaluated, 16).size();
+    }
 
     std::vector<predict::SuiteResult> first;
     for (unsigned threads : {1u, 3u, 8u}) {
@@ -989,12 +1002,15 @@ TEST(PlanBatches, PlanDoesNotDependOnThreadCount)
                                        sweep::SweepKernel::Batched)
                       .evaluate(suite, schemes, UpdateMode::Forwarded);
         }
+        // Repeats within a group copy the group's first of their kind
+        // (sweep/partition.hh), so each trace runs the plan of the
+        // schemes it evaluates: one task per (trace, batch).
         const auto *batches = reg.findCounter("sweep.batches_evaluated");
         ASSERT_NE(batches, nullptr);
-        EXPECT_EQ(batches->value, plan.size()) << threads << " threads";
+        EXPECT_EQ(batches->value, tasks) << threads << " threads";
         const auto *walks = reg.findCounter("batch.trace_walks");
         ASSERT_NE(walks, nullptr);
-        EXPECT_EQ(walks->value, plan.size() * suite.size());
+        EXPECT_EQ(walks->value, tasks);
         EXPECT_EQ(sweep::planBatches(schemes, 16), plan);
         ASSERT_EQ(got.size(), schemes.size());
         if (first.empty()) {

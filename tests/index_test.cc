@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "predict/evaluator.hh"
 #include "predict/index.hh"
 #include "predict/table.hh"
+#include "sweep/space.hh"
 
 namespace {
 
@@ -186,6 +190,70 @@ TEST(HashedIndex, PlanMatchesSpecBitForBit)
                 << "case " << cs << " k " << k;
         }
     }
+}
+
+TEST(HashedIndex, EqualFieldSetAndWidthCompileToOnePlan)
+{
+    // The fold mixes every field at full width, so a hashed index
+    // depends on its field set and total width only: pc4+add6 and
+    // pc6+add4 name one entry mapping.
+    IndexSpec a{false, 4, false, 6};
+    IndexSpec b{false, 6, false, 4};
+    IndexSpec c{true, 2, true, 4};
+    a.hashed = b.hashed = c.hashed = true;
+    IndexSpec d{true, 4, true, 2};
+    d.hashed = true;
+    EXPECT_EQ(predict::makeIndexPlan(a, 4), predict::makeIndexPlan(b, 4));
+    EXPECT_EQ(predict::makeIndexPlan(c, 4), predict::makeIndexPlan(d, 4));
+    for (std::uint64_t k = 0; k < 256; ++k)
+        EXPECT_EQ(a.index(1, 0x400 + 4 * k, 2, k * 0x9af1, 4),
+                  b.index(1, 0x400 + 4 * k, 2, k * 0x9af1, 4));
+    // A different width or field set is a different plan.
+    IndexSpec wider = a;
+    wider.addrBits = 7;
+    EXPECT_NE(predict::makeIndexPlan(a, 4),
+              predict::makeIndexPlan(wider, 4));
+    IndexSpec other{false, 0, true, 6};
+    other.hashed = true;
+    EXPECT_NE(predict::makeIndexPlan(a, 4),
+              predict::makeIndexPlan(other, 4));
+    // Truncated indices keep the split.
+    a.hashed = b.hashed = false;
+    EXPECT_NE(predict::makeIndexPlan(a, 4), predict::makeIndexPlan(b, 4));
+}
+
+TEST(HashedIndex, PaperSpacePerceptronsRepeatUnderOtherNames)
+{
+    // Of the paper space's 176 perceptron schemes (Table 8's grid),
+    // 56 compile to the plan of an earlier one whose spec differs
+    // only in the hashed index's pc/addr split.
+    sweep::SpaceSpec space;
+    space.pasDepths = {2};
+    space.percDepths = {2};
+    space.percWeightBits = {5};
+    space.percThetas = {2};
+    space.percBloomBits = {0, 16};
+    const unsigned node_bits = predict::nodeBitsFor(space.nNodes);
+    std::vector<predict::SchemeSpec> seen;
+    std::size_t perceptrons = 0, repeats = 0;
+    for (const predict::SchemeSpec &s : sweep::enumerateSchemes(space)) {
+        if (s.kind != predict::FunctionKind::Perceptron)
+            continue;
+        ++perceptrons;
+        for (const predict::SchemeSpec &o : seen) {
+            predict::SchemeSpec rest = s;
+            rest.index = o.index;
+            if (rest == o && !(s.index == o.index) &&
+                predict::makeIndexPlan(s.index, node_bits) ==
+                    predict::makeIndexPlan(o.index, node_bits)) {
+                ++repeats;
+                break;
+            }
+        }
+        seen.push_back(s);
+    }
+    EXPECT_EQ(perceptrons, 176u);
+    EXPECT_EQ(repeats, 56u);
 }
 
 TEST(HashedIndex, AbsentFieldsDoNotParticipate)

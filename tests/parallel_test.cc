@@ -422,14 +422,20 @@ TEST(BatchedSweep, StatsCoverEverySchemeAndBatch)
     ASSERT_NE(batches, nullptr);
     EXPECT_GE(batches->value, 1u);
 
-    // Every (scheme, trace, event) pair is walked exactly once.
+    // Every (scheme, trace) pair is walked exactly once, or copies
+    // the counts of a scheme walked on that trace (sweep/partition.hh):
+    // pid refines pc and dir equals pid on noisyTrace, so some do.
+    const auto *shared = parent.findCounter("sweep.shared_scheme_traces");
+    ASSERT_NE(shared, nullptr);
+    EXPECT_GT(shared->value, 0u);
     const auto *scheme_events =
         parent.findCounter("batch.scheme_events");
     ASSERT_NE(scheme_events, nullptr);
-    std::uint64_t events = 0;
+    const std::uint64_t events = suite.front().events().size();
     for (const auto &tr : suite)
-        events += tr.events().size();
-    EXPECT_EQ(scheme_events->value, events * schemes.size());
+        ASSERT_EQ(tr.events().size(), events);
+    EXPECT_EQ(scheme_events->value,
+              events * (schemes.size() * suite.size() - shared->value));
 }
 
 TEST(BatchedSweep, ProgressReachesEverySchemeMonotonically)
