@@ -20,7 +20,7 @@ main(int argc, char **argv)
 
     BenchContext ctx("ablate_fields", argc, argv);
 
-    auto suite = loadOrGenerateSuite();
+    auto suite = loadOrGenerateSuite(ctx.threads());
     ctx.addSuite(suite);
 
     for (auto kind : {predict::FunctionKind::Inter,

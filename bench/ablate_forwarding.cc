@@ -18,7 +18,7 @@ main(int argc, char **argv)
 
     BenchContext ctx("ablate_forwarding", argc, argv);
 
-    auto suite = loadOrGenerateSuite();
+    auto suite = loadOrGenerateSuite(ctx.threads());
     ctx.addSuite(suite);
 
     const char *schemes[] = {

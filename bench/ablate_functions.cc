@@ -27,7 +27,7 @@ main(int argc, char **argv)
 
     BenchContext ctx("ablate_functions", argc, argv);
 
-    auto suite = loadOrGenerateSuite();
+    auto suite = loadOrGenerateSuite(ctx.threads());
     ctx.addSuite(suite);
 
     std::printf("Ablation: extension prediction functions "

@@ -42,10 +42,21 @@ main(int argc, char **argv)
         cfg.nNodes = n;
         cfg.torusWidth = 4;
 
+        // The readers-per-kill histogram is as wide as the machine, so
+        // each size's simulator counters go to a shard of their own;
+        // the run report keeps those of the paper's 16-node machine.
+        obs::StatsRegistry machine_stats;
+        std::vector<trace::SharingTrace> suite;
+        {
+            obs::ScopedRegistry route(machine_stats);
+            suite = workloads::generateSuite(params, cfg, ctx.threads());
+        }
+        if (n == 16)
+            obs::StatsRegistry::root().merge(machine_stats);
+
         std::uint64_t events = 0;
         double prev = 0, lsens = 0, lpvp = 0, isens = 0, ipvp = 0;
-        for (const auto &name : workloads::workloadNames()) {
-            auto tr = workloads::generateTrace(name, params, cfg);
+        for (const auto &tr : suite) {
             events += tr.storeMisses();
             prev += tr.prevalence();
             auto lc = predict::evaluateTrace(

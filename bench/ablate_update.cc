@@ -22,7 +22,7 @@ main(int argc, char **argv)
 
     BenchContext ctx("ablate_update", argc, argv);
 
-    auto suite = loadOrGenerateSuite();
+    auto suite = loadOrGenerateSuite(ctx.threads());
     ctx.addSuite(suite);
 
     const char *schemes[] = {

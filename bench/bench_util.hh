@@ -12,9 +12,10 @@
  *                     config, suite + protocol counters, screening
  *                     metrics, per-phase timings) on exit
  *   --log <level>     override CCP_LOG (quiet|warn|info|debug)
- *   --threads <n>     worker threads for scheme sweeps (default: all
- *                     hardware threads; 1 = the sequential path; 0 is
- *                     the same as the default)
+ *   --threads <n>     worker threads for scheme sweeps and cold trace
+ *                     generation (default: all hardware threads; 1 =
+ *                     the sequential path; 0 is the same as the
+ *                     default)
  *   --kernel <k>      sweep evaluation kernel: "batched" (the
  *                     event-major default, docs/KERNELS.md) or
  *                     "reference" (the per-scheme oracle); output is
@@ -204,7 +205,11 @@ traceCachePath(const std::string &dir, const std::string &name,
  * Load the seven-benchmark suite from the trace cache, generating and
  * saving any missing traces.  All benches share the cache, so the
  * suite is generated exactly once per configuration (the filename is
- * keyed on a workload-config hash, see traceCacheKey()).
+ * keyed on a workload-config hash, see traceCacheKey()).  Missing
+ * traces are generated and saved at the same time on up to
+ * @p threads workers (0 = one per hardware thread), each under its
+ * own stats shard merged in suite order (workloads::runSharded()), so
+ * files and counters do not depend on the thread count.
  *
  * Robustness: a cached file that fails validation (truncated, bad
  * checksum, old format version) is counted under
@@ -213,29 +218,28 @@ traceCachePath(const std::string &dir, const std::string &name,
  * concurrent benches sharing CCP_TRACE_DIR never read partial files.
  */
 inline std::vector<trace::SharingTrace>
-loadOrGenerateSuite()
+loadOrGenerateSuite(unsigned threads = 0)
 {
     const double scale = envScale();
     const std::uint64_t seed = envSeed();
     const std::string dir = traceDir();
     std::filesystem::create_directories(dir);
 
-    auto &reg = obs::StatsRegistry::root();
+    auto &reg = obs::StatsRegistry::current();
     CCP_TRACE_SPAN("bench", "bench.suite_load");
     obs::ScopedTimer suite_timer(reg, "bench.suite_load_seconds");
 
-    std::vector<trace::SharingTrace> suite;
-    for (const auto &name : workloads::workloadNames()) {
+    const auto &names = workloads::workloadNames();
+    std::vector<trace::SharingTrace> suite(names.size());
+    std::vector<std::size_t> missing;
+    for (std::size_t i = 0; i < names.size(); ++i) {
         const std::string file =
-            traceCachePath(dir, name, seed, scale);
-
-        trace::SharingTrace tr;
+            traceCachePath(dir, names[i], seed, scale);
         obs::Stopwatch load_watch;
-        if (tr.loadFile(file)) {
+        if (suite[i].loadFile(file)) {
             reg.summary("bench.trace_load_seconds")
                 .add(load_watch.elapsedSec());
             ++reg.counter("bench.traces_cached");
-            suite.push_back(std::move(tr));
             continue;
         }
         if (std::filesystem::exists(file)) {
@@ -250,18 +254,25 @@ loadOrGenerateSuite()
         // Progress goes to stderr so stdout stays a clean table.
         if (logLevel() >= LogLevel::Info)
             std::fprintf(stderr, "[bench] generating %s (scale %.2f)"
-                         "...\n", name.c_str(), scale);
-        obs::ScopedTimer gen_timer(reg, "bench.trace_gen_seconds");
+                         "...\n", names[i].c_str(), scale);
+        missing.push_back(i);
+    }
+
+    workloads::runSharded(missing.size(), threads, [&](std::size_t k) {
+        const std::size_t i = missing[k];
+        auto &shard = obs::StatsRegistry::current();
+        obs::ScopedTimer gen_timer(shard, "bench.trace_gen_seconds");
         workloads::WorkloadParams params;
         params.seed = seed;
         params.scale = scale;
-        tr = workloads::generateTrace(name, params);
+        suite[i] = workloads::generateTrace(names[i], params);
         gen_timer.stop();
-        ++reg.counter("bench.traces_generated");
-        if (!tr.saveFile(file))
+        ++shard.counter("bench.traces_generated");
+        const std::string file =
+            traceCachePath(dir, names[i], seed, scale);
+        if (!suite[i].saveFile(file))
             ccp_warn("cannot cache trace at ", file);
-        suite.push_back(std::move(tr));
-    }
+    });
     return suite;
 }
 

@@ -57,7 +57,7 @@ int
 main(int argc, char **argv)
 {
     BenchContext ctx("fig9_depth", argc, argv);
-    auto suite = loadOrGenerateSuite();
+    auto suite = loadOrGenerateSuite(ctx.threads());
     ctx.addSuite(suite);
     std::printf("Figure 9: history depth 2 vs 4, direct update\n\n");
 

@@ -56,7 +56,7 @@ runFigure(BenchContext &ctx, const char *title,
           predict::FunctionKind kind, unsigned depth,
           const std::vector<predict::IndexSpec> &series)
 {
-    auto suite = loadOrGenerateSuite();
+    auto suite = loadOrGenerateSuite(ctx.threads());
     ctx.addSuite(suite);
 
     std::printf("%s\n(suite-average sensitivity and PVP per indexing "

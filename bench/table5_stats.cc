@@ -19,7 +19,7 @@ main(int argc, char **argv)
     using namespace ccp::benchutil;
 
     BenchContext ctx("table5_stats", argc, argv);
-    auto suite = loadOrGenerateSuite();
+    auto suite = loadOrGenerateSuite(ctx.threads());
     ctx.addSuite(suite);
 
     std::printf("Table 5: store instruction and cache block statistics\n");

@@ -17,7 +17,7 @@ main(int argc, char **argv)
     using namespace ccp::benchutil;
 
     BenchContext ctx("table6_prevalence", argc, argv);
-    auto suite = loadOrGenerateSuite();
+    auto suite = loadOrGenerateSuite(ctx.threads());
     ctx.addSuite(suite);
 
     std::printf("Table 6: prevalence of sharing\n");

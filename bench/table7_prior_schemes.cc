@@ -22,7 +22,7 @@ main(int argc, char **argv)
     using namespace ccp::benchutil;
 
     BenchContext ctx("table7_prior_schemes", argc, argv);
-    auto suite = loadOrGenerateSuite();
+    auto suite = loadOrGenerateSuite(ctx.threads());
     ctx.addSuite(suite);
 
     std::printf("Table 7: schemes reported by earlier work\n\n");

@@ -55,7 +55,7 @@ inline int
 runTopTen(BenchContext &ctx, const char *title, predict::UpdateMode mode,
           sweep::RankBy by, const std::vector<PaperTopTen> &paper)
 {
-    auto suite = loadOrGenerateSuite();
+    auto suite = loadOrGenerateSuite(ctx.threads());
     ctx.addSuite(suite);
     auto schemes = enumerateSchemes(paperSpace());
 

@@ -1,24 +1,21 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace ccp::mem {
 
 SetAssocCache::SetAssocCache(const CacheGeometry &geom)
-    : geom_(geom),
-      ways_(static_cast<std::size_t>(geom.sets()) * geom.assoc)
+    : geom_(geom), sets_(geom.sets()),
+      setMask_((sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0),
+      ways_(static_cast<std::size_t>(sets_) * geom.assoc)
 {
     ccp_assert(geom.sizeBytes % blockBytes == 0,
                "cache size not a multiple of the block size");
     ccp_assert(geom.lines() % geom.assoc == 0,
                "line count not a multiple of associativity");
     ccp_assert(geom.sets() > 0, "cache has no sets");
-}
-
-std::uint32_t
-SetAssocCache::setOf(Addr block) const
-{
-    return static_cast<std::uint32_t>(block % geom_.sets());
 }
 
 CacheLine *
@@ -42,17 +39,9 @@ SetAssocCache::find(Addr block) const
 void
 SetAssocCache::touch(Addr block)
 {
-    std::uint32_t base = setOf(block) * geom_.assoc;
-    for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
-        if (ways_[base + w].valid() && ways_[base + w].block == block) {
-            // Rotate [0, w] right by one so way w becomes MRU (way 0).
-            CacheLine hit = ways_[base + w];
-            for (std::uint32_t i = w; i > 0; --i)
-                ways_[base + i] = ways_[base + i - 1];
-            ways_[base] = hit;
-            return;
-        }
-    }
+    // Rotate [MRU, line] right by one so the line becomes MRU (way 0).
+    if (CacheLine *line = find(block))
+        std::rotate(&ways_[setOf(block) * geom_.assoc], line, line + 1);
 }
 
 std::optional<CacheLine>
@@ -60,7 +49,6 @@ SetAssocCache::insert(Addr block, CacheState state,
                       std::uint64_t version)
 {
     ccp_assert(state != CacheState::Invalid, "inserting invalid line");
-    std::uint32_t base = setOf(block) * geom_.assoc;
 
     // Replace an existing copy in place if present.
     if (CacheLine *line = find(block)) {
@@ -71,22 +59,18 @@ SetAssocCache::insert(Addr block, CacheState state,
     }
 
     // Prefer an invalid way; otherwise evict the LRU way (the last).
-    std::uint32_t victim_way = geom_.assoc - 1;
-    for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
-        if (!ways_[base + w].valid()) {
-            victim_way = w;
-            break;
-        }
-    }
-
+    CacheLine *set = &ways_[setOf(block) * geom_.assoc];
+    CacheLine *way = std::find_if(set, set + geom_.assoc - 1,
+                                  [](const CacheLine &l) {
+                                      return !l.valid();
+                                  });
     std::optional<CacheLine> victim;
-    if (ways_[base + victim_way].valid())
-        victim = ways_[base + victim_way];
+    if (way->valid())
+        victim = *way;
 
-    // Shift [0, victim_way) down and install at MRU position.
-    for (std::uint32_t i = victim_way; i > 0; --i)
-        ways_[base + i] = ways_[base + i - 1];
-    ways_[base] = CacheLine{block, state, version};
+    // Shift [MRU, way) down and install at the MRU position.
+    std::rotate(set, way, way + 1);
+    *set = CacheLine{block, state, version};
     return victim;
 }
 

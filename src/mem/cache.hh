@@ -103,9 +103,18 @@ class SetAssocCache
     std::uint32_t validLines() const;
 
   private:
-    std::uint32_t setOf(Addr block) const;
+    std::uint32_t
+    setOf(Addr block) const
+    {
+        return static_cast<std::uint32_t>(
+            setMask_ ? block & setMask_ : block % sets_);
+    }
 
     CacheGeometry geom_;
+    /** geom_.sets(), and sets - 1 when that is a power of two (else
+     *  0): the set index is one mask on the per-access path. */
+    std::uint32_t sets_;
+    std::uint32_t setMask_;
     /** ways[set * assoc + way]; way order is LRU order
      *  (way 0 = MRU). */
     std::vector<CacheLine> ways_;

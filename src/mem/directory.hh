@@ -1,6 +1,7 @@
 /**
  * @file
- * Full-map directory state (DirNB-style, one presence bit per node).
+ * Full-map directory state (DirNB-style, one presence bit per node)
+ * and the per-block record store that holds it.
  *
  * Each block's home node owns a DirectoryEntry.  Besides the classic
  * state/sharers/owner triple, the entry carries the bookkeeping the
@@ -13,13 +14,24 @@
  *  - pendingEvent: the trace sequence number of the coherence store
  *    miss that created the current version, so later readers can be
  *    recorded as that event's outcome.
+ *
+ * The entry also records the block's home node and whether any node
+ * has touched it, so it is the one per-block record the controller
+ * keeps.  A BlockStore holds the records in fixed-size pages of
+ * contiguous entries, found by block number through a two-level table
+ * (an ordered map of chunks of page pointers, then the page) with no
+ * hashing.  Pages are allocated on first use and never move, so a
+ * reference to an entry stays valid while the store grows, and memory
+ * grows with the pages touched, not with the span of block numbers.
  */
 
 #ifndef CCP_MEM_DIRECTORY_HH
 #define CCP_MEM_DIRECTORY_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <map>
+#include <memory>
 
 #include "common/bitmap.hh"
 #include "common/types.hh"
@@ -41,53 +53,28 @@ enum class DirState : std::uint8_t
     Modified,  ///< exactly one dirty copy at `owner`
 };
 
-/** Directory record for one block. */
+/** Directory record for one block (fields ordered to pack). */
 struct DirectoryEntry
 {
-    DirState state = DirState::Uncached;
     /** Nodes holding a copy (Shared) — or just the owner (Modified). */
     SharingBitmap sharers;
-    /** Owner node, meaningful in Modified state. */
-    NodeId owner = 0;
-
     /** Version counter: bumped on every exclusive acquisition. */
     std::uint64_t version = 0;
-
     /** True readers of the current version (access-bit feedback). */
     SharingBitmap readersSinceExclusive;
-
     /** Identity of the writer that produced the current version. */
-    NodeId lastWriterPid = 0;
     Pc lastWriterPc = 0;
-    bool hasLastWriter = false;
-
     /** Trace event that created the current version. */
     EventSeq pendingEvent = trace::noEvent;
-};
-
-/**
- * The directory slice homed at one node: a sparse map from block
- * number to entry.  Blocks that were never referenced have the default
- * Uncached entry and are not materialized.
- */
-class DirectorySlice
-{
-  public:
-    /** Look up (and create on first use) the entry for @p block. */
-    DirectoryEntry &entry(Addr block) { return entries_[block]; }
-
-    /** Look up without creating.  @return nullptr if absent. */
-    const DirectoryEntry *find(Addr block) const;
-
-    /** Number of materialized entries. */
-    std::size_t size() const { return entries_.size(); }
-
-    /** Iteration support (used by invariant checks in tests). */
-    auto begin() const { return entries_.begin(); }
-    auto end() const { return entries_.end(); }
-
-  private:
-    std::unordered_map<Addr, DirectoryEntry> entries_;
+    /** Owner node, meaningful in Exclusive and Modified state. */
+    NodeId owner = 0;
+    NodeId lastWriterPid = 0;
+    /** Home (directory) node, fixed when the block is first touched. */
+    NodeId home = 0;
+    DirState state = DirState::Uncached;
+    bool hasLastWriter = false;
+    /** Some node has accessed the block. */
+    bool touched = false;
 };
 
 /** How blocks are assigned to home nodes. */
@@ -104,37 +91,62 @@ enum class PlacementPolicy : std::uint8_t
     FirstTouch,
 };
 
-/**
- * Home-node assignment for the N directory slices.
- *
- * Under FirstTouch the assignment is sticky: the first requester of a
- * block becomes its home for the rest of the run.
- */
-class MemoryMap
+/** Directory entries by block number (see the file comment); an
+ *  entry never asked for reads as untouched and Uncached. */
+class BlockStore
 {
   public:
-    explicit MemoryMap(unsigned n_nodes,
-                       PlacementPolicy policy = PlacementPolicy::FirstTouch)
-        : nNodes_(n_nodes), policy_(policy)
+    /** The entry of @p block, allocating its page on first use. */
+    DirectoryEntry &
+    at(Addr block)
     {
+        auto &page = chunks_[block >> (pageShift + chunkShift)]
+                            [(block >> pageShift) & (chunkPages - 1)];
+        if (!page)
+            page = std::make_unique<DirectoryEntry[]>(pageEntries);
+        return page[block & (pageEntries - 1)];
     }
 
-    unsigned nNodes() const { return nNodes_; }
-    PlacementPolicy policy() const { return policy_; }
+    /** The entry of @p block, or nullptr if its page was never
+     *  allocated.  Allocates nothing. */
+    const DirectoryEntry *
+    find(Addr block) const
+    {
+        auto it = chunks_.find(block >> (pageShift + chunkShift));
+        if (it == chunks_.end())
+            return nullptr;
+        const auto &page =
+            it->second[(block >> pageShift) & (chunkPages - 1)];
+        return page ? &page[block & (pageEntries - 1)] : nullptr;
+    }
 
-    /**
-     * Home (directory) node of @p block, assigning it to @p toucher
-     * on first reference under the first-touch policy.
-     */
-    NodeId homeOf(Addr block, NodeId toucher);
-
-    /** Number of blocks pinned by first touch so far. */
-    std::size_t assignedBlocks() const { return homes_.size(); }
+    /** Call fn(block, entry) for every touched entry, in block
+     *  order. */
+    template <typename Fn>
+    void
+    forEachTouched(Fn &&fn) const
+    {
+        for (const auto &[number, chunk] : chunks_)
+            for (Addr p = 0; p < chunkPages; ++p)
+                if (const DirectoryEntry *page = chunk[p].get()) {
+                    const Addr first = ((number << chunkShift) | p)
+                                       << pageShift;
+                    for (Addr i = 0; i < pageEntries; ++i)
+                        if (page[i].touched)
+                            fn(first | i, page[i]);
+                }
+    }
 
   private:
-    unsigned nNodes_;
-    PlacementPolicy policy_;
-    std::unordered_map<Addr, NodeId> homes_;
+    /** 2^9 entries (28 KiB) per page, 2^12 pages per chunk: a chunk
+     *  spans 2^21 blocks (128 MiB). */
+    static constexpr unsigned pageShift = 9, chunkShift = 12;
+    static constexpr Addr pageEntries = Addr{1} << pageShift;
+    static constexpr Addr chunkPages = Addr{1} << chunkShift;
+
+    using Page = std::unique_ptr<DirectoryEntry[]>;
+    /** Chunks of page pointers by chunk number (block >> 21). */
+    std::map<Addr, std::array<Page, chunkPages>> chunks_;
 };
 
 } // namespace ccp::mem

@@ -20,9 +20,7 @@ CoherenceController::CoherenceController(const MachineConfig &config,
     : config_(config), trace_(trace),
       torus_(config.torusWidth,
              config.nNodes / std::max(1u, config.torusWidth)),
-      map_(config.nNodes, config.placement),
-      readersPerKill_(config.nNodes + 1), staticStores_(config.nNodes),
-      predictedStores_(config.nNodes)
+      readersPerKill_(config.nNodes + 1)
 {
     ccp_assert(trace_ != nullptr, "controller needs a trace sink");
     ccp_assert(config_.nNodes >= 1 && config_.nNodes <= maxNodes,
@@ -33,7 +31,6 @@ CoherenceController::CoherenceController(const MachineConfig &config,
     caches_.reserve(config_.nNodes);
     for (unsigned i = 0; i < config_.nNodes; ++i)
         caches_.emplace_back(config_.l1, config_.l2);
-    slices_.resize(config_.nNodes);
 }
 
 const CacheStats &
@@ -44,17 +41,21 @@ CoherenceController::cacheStats(NodeId node) const
 }
 
 std::uint64_t
-CoherenceController::staticStores(NodeId node) const
+CoherenceController::storeCount(NodeId node,
+                                SharingBitmap StorePc::*bits) const
 {
     ccp_assert(node < config_.nNodes, "node out of range");
-    return staticStores_[node].size();
+    return std::count_if(storePcs_.begin(), storePcs_.end(),
+                         [&](const StorePc &s) {
+                             return (s.*bits).test(node);
+                         });
 }
 
-std::uint64_t
-CoherenceController::predictedStores(NodeId node) const
+void
+CoherenceController::cacheHit(NodeId node, Addr block)
 {
-    ccp_assert(node < config_.nNodes, "node out of range");
-    return predictedStores_[node].size();
+    stats_.latency +=
+        caches_[node].access(block) ? l1HitCycles : l2HitCycles;
 }
 
 void
@@ -66,10 +67,28 @@ CoherenceController::message(NodeId from, NodeId to, bool data)
 }
 
 DirectoryEntry &
-CoherenceController::dirEntry(Addr block, NodeId toucher, NodeId &home)
+CoherenceController::touch(Addr block, NodeId node)
 {
-    home = map_.homeOf(block, toucher);
-    return slices_[home].entry(block);
+    DirectoryEntry &dir = blocks_.at(block);
+    if (!dir.touched) {
+        dir.touched = true;
+        dir.home = config_.placement == PlacementPolicy::Interleaved
+                       ? static_cast<NodeId>(block % config_.nNodes)
+                       : node;
+        ++blocksTouched_;
+    }
+    return dir;
+}
+
+CoherenceController::StorePc &
+CoherenceController::storePc(Pc pc)
+{
+    // A workload has a handful of store sites (3-11 per trace), so a
+    // scan beats any index.
+    for (StorePc &s : storePcs_)
+        if (s.pc == pc)
+            return s;
+    return storePcs_.emplace_back(StorePc{pc, {}, {}});
 }
 
 void
@@ -81,15 +100,14 @@ CoherenceController::noteForwardedTouch(NodeId node, Addr block)
     // miss was avoided, and the access bit makes this node a true
     // reader of the current version.
     ++stats_.forwardHits;
-    NodeId home = 0;
-    DirectoryEntry &dir = dirEntry(block, node, home);
-    recordReader(dir, node);
+    recordReader(blocks_.at(block), node);
 }
 
 void
 CoherenceController::doForwarding(const trace::CoherenceEvent &ev,
-                                  Addr block, NodeId home)
+                                  DirectoryEntry &dir)
 {
+    const Addr block = ev.block;
     SharingBitmap targets = forwardHook_(ev);
     targets &= SharingBitmap::all(config_.nNodes);
     targets.reset(ev.pid);
@@ -101,15 +119,11 @@ CoherenceController::doForwarding(const trace::CoherenceEvent &ev,
             continue;
         if (caches_[p].state(block) != CacheState::Invalid)
             continue; // already has a copy somehow; nothing to push
-        message(home, p, true);
+        message(dir.home, p, true);
         ++stats_.forwardsSent;
-        {
-            DirectoryEntry &dir = dirEntry(block, p, home);
-            dir.sharers.set(p);
-        }
+        dir.sharers.set(p);
         auto victim = caches_[p].fill(block, CacheState::Shared,
-                                      currentVersion(blockBase(block)),
-                                      /*forwarded=*/true);
+                                      dir.version, /*forwarded=*/true);
         if (victim) {
             ++stats_.pollutionEvictions;
             handleVictim(p, *victim);
@@ -118,8 +132,6 @@ CoherenceController::doForwarding(const trace::CoherenceEvent &ev,
 
     // The writer yields its write permission upon forwarding (paper
     // footnote 3), guaranteeing the forwarded values are final.
-    NodeId h = 0;
-    DirectoryEntry &dir = dirEntry(block, ev.pid, h);
     if (dir.state == DirState::Modified && dir.owner == ev.pid) {
         caches_[ev.pid].downgrade(block);
         dir.state = DirState::Shared;
@@ -141,8 +153,7 @@ CoherenceController::recordReader(DirectoryEntry &dir, NodeId node)
 void
 CoherenceController::handleVictim(NodeId node, const CacheLine &victim)
 {
-    NodeId home = 0;
-    DirectoryEntry &dir = dirEntry(victim.block, node, home);
+    DirectoryEntry &dir = blocks_.at(victim.block);
 
     if (victim.state == CacheState::Modified) {
         // Under MESI the directory may still believe the line is
@@ -153,14 +164,14 @@ CoherenceController::handleVictim(NodeId node, const CacheLine &victim)
                    "writeback from a non-owner");
         dir.state = DirState::Uncached;
         dir.sharers = SharingBitmap();
-        message(node, home, true);
+        message(node, dir.home, true);
     } else if (victim.state == CacheState::Exclusive) {
         ccp_assert(dir.state == DirState::Exclusive &&
                        dir.owner == node,
                    "exclusive replacement from a non-owner");
         dir.state = DirState::Uncached;
         dir.sharers = SharingBitmap();
-        message(node, home, false); // clean: no data
+        message(node, dir.home, false); // clean: no data
     } else {
         // Replacement hint for a Shared copy.  The true-reader record
         // (readersSinceExclusive) deliberately survives: the node did
@@ -173,25 +184,25 @@ CoherenceController::handleVictim(NodeId node, const CacheLine &victim)
         dir.sharers.reset(node);
         if (dir.sharers.empty())
             dir.state = DirState::Uncached;
-        message(node, home, false);
+        message(node, dir.home, false);
     }
 }
 
 void
 CoherenceController::invalidateSharers(DirectoryEntry &dir, Addr block,
-                                       NodeId except, NodeId home)
+                                       NodeId except)
 {
     SharingBitmap to_kill = dir.sharers.minus(SharingBitmap::single(except));
     for (NodeId s = 0; s < config_.nNodes; ++s) {
         if (!to_kill.test(s))
             continue;
-        message(home, s, false);
+        message(dir.home, s, false);
         auto old = caches_[s].invalidate(block);
         ccp_assert(old && old->state == CacheState::Shared,
                    "invalidated a non-shared copy");
         if (old->forwarded && !old->accessed)
             ++stats_.wastedForwards;
-        message(s, home, false);
+        message(s, dir.home, false);
         ++stats_.invalidationsSent;
     }
 }
@@ -201,23 +212,22 @@ CoherenceController::read(NodeId node, Addr addr)
 {
     ccp_assert(node < config_.nNodes, "node out of range");
     Addr block = blockOf(addr);
-    blocksTouched_.insert(block);
     ++stats_.reads;
 
     if (caches_[node].state(block) != CacheState::Invalid) {
         noteForwardedTouch(node, block);
-        bool l1_hit = caches_[node].access(block);
-        stats_.latency += l1_hit ? l1HitCycles : l2HitCycles;
+        cacheHit(node, block);
         return;
     }
 
     ++stats_.readMisses;
     ++caches_[node].stats().misses;
 
-    NodeId home = 0;
-    DirectoryEntry &dir = dirEntry(block, node, home);
-    message(node, home, false);
-    stats_.latency += torus_.latency(node, home);
+    // Any cached copy means the block was touched before, so only a
+    // miss can be a first touch.
+    DirectoryEntry &dir = touch(block, node);
+    message(node, dir.home, false);
+    stats_.latency += torus_.latency(node, dir.home);
 
     CacheState fill_state = CacheState::Shared;
     switch (dir.state) {
@@ -232,12 +242,12 @@ CoherenceController::read(NodeId node, Addr addr)
             dir.state = DirState::Shared;
         }
         dir.sharers.set(node);
-        message(home, node, true);
+        message(dir.home, node, true);
         break;
 
       case DirState::Shared:
         dir.sharers.set(node);
-        message(home, node, true);
+        message(dir.home, node, true);
         break;
 
       case DirState::Exclusive:
@@ -245,12 +255,12 @@ CoherenceController::read(NodeId node, Addr addr)
         NodeId owner = dir.owner;
         ccp_assert(owner != node,
                    "owner read-missed its own exclusive block");
-        message(home, owner, false);
+        message(dir.home, owner, false);
         caches_[owner].downgrade(block);
         ++stats_.downgrades;
         message(owner, node, true);  // cache-to-cache transfer
-        message(owner, home, true);  // sharing writeback
-        stats_.latency += torus_.latency(home, owner);
+        message(owner, dir.home, true);  // sharing writeback
+        stats_.latency += torus_.latency(dir.home, owner);
         ++stats_.interventions;
         dir.state = DirState::Shared;
         dir.sharers.set(node);
@@ -269,33 +279,28 @@ CoherenceController::write(NodeId node, Addr addr, Pc pc)
 {
     ccp_assert(node < config_.nNodes, "node out of range");
     Addr block = blockOf(addr);
-    blocksTouched_.insert(block);
     ++stats_.writes;
-    staticStores_[node].insert(pc);
+    StorePc &store = storePc(pc);
+    store.executed.set(node);
 
     CacheState st = caches_[node].state(block);
-    if (st == CacheState::Modified) {
-        bool l1_hit = caches_[node].access(block);
-        stats_.latency += l1_hit ? l1HitCycles : l2HitCycles;
-        return;
-    }
     if (st == CacheState::Exclusive) {
         // MESI: silent E->M upgrade, invisible to the directory and
         // to the predictors (no coherence store miss).
         caches_[node].upgradeSilent(block);
-        bool l1_hit = caches_[node].access(block);
-        stats_.latency += l1_hit ? l1HitCycles : l2HitCycles;
         ++stats_.silentUpgrades;
+    }
+    if (st == CacheState::Modified || st == CacheState::Exclusive) {
+        cacheHit(node, block);
         return;
     }
 
     // Coherence store miss: a write fault (upgrade) or a write miss.
-    predictedStores_[node].insert(pc);
+    store.missed.set(node);
 
-    NodeId home = 0;
-    DirectoryEntry &dir = dirEntry(block, node, home);
-    message(node, home, false);
-    stats_.latency += torus_.latency(node, home);
+    DirectoryEntry &dir = touch(block, node);
+    message(node, dir.home, false);
+    stats_.latency += torus_.latency(node, dir.home);
 
     // Capture the feedback for the dying version before mutating.
     // The feedback is the set of nodes actually *invalidated*: the
@@ -307,7 +312,7 @@ CoherenceController::write(NodeId node, Addr addr, Pc pc)
     trace::CoherenceEvent ev;
     ev.pid = node;
     ev.pc = pc;
-    ev.dir = home;
+    ev.dir = dir.home;
     ev.block = block;
     ev.invalidated =
         dir.readersSinceExclusive.minus(SharingBitmap::single(node));
@@ -322,7 +327,7 @@ CoherenceController::write(NodeId node, Addr addr, Pc pc)
         ccp_assert(dir.state == DirState::Shared &&
                        dir.sharers.test(node),
                    "upgrading node absent from sharer set");
-        invalidateSharers(dir, block, node, home);
+        invalidateSharers(dir, block, node);
         caches_[node].upgrade(block, dir.version + 1);
     } else {
         ++stats_.writeMisses;
@@ -332,7 +337,7 @@ CoherenceController::write(NodeId node, Addr addr, Pc pc)
             NodeId owner = dir.owner;
             ccp_assert(owner != node,
                        "owner write-missed its own exclusive block");
-            message(home, owner, false);
+            message(dir.home, owner, false);
             auto old = caches_[owner].invalidate(block);
             ccp_assert(old && (old->state == CacheState::Modified ||
                                (dir.state == DirState::Exclusive &&
@@ -344,12 +349,12 @@ CoherenceController::write(NodeId node, Addr addr, Pc pc)
             if (old->state == CacheState::Modified)
                 message(owner, node, true);
             else
-                message(home, node, true);
-            stats_.latency += torus_.latency(home, owner);
+                message(dir.home, node, true);
+            stats_.latency += torus_.latency(dir.home, owner);
             ++stats_.interventions;
         } else {
-            invalidateSharers(dir, block, node, home);
-            message(home, node, true);
+            invalidateSharers(dir, block, node);
+            message(dir.home, node, true);
         }
         auto victim = caches_[node].fill(block, CacheState::Modified,
                                          dir.version + 1);
@@ -368,37 +373,35 @@ CoherenceController::write(NodeId node, Addr addr, Pc pc)
     dir.pendingEvent = trace_->append(ev);
 
     if (forwardHook_)
-        doForwarding(ev, block, home);
+        doForwarding(ev, dir);
 }
 
 void
 CoherenceController::exportStats(obs::StatsRegistry &registry,
                                  const std::string &prefix) const
 {
-    auto path = [&](const char *leaf) { return prefix + "." + leaf; };
-
-    registry.counter(path("reads")) += stats_.reads;
-    registry.counter(path("writes")) += stats_.writes;
-    registry.counter(path("read_misses")) += stats_.readMisses;
-    registry.counter(path("write_misses")) += stats_.writeMisses;
-    registry.counter(path("write_faults")) += stats_.writeFaults;
-    registry.counter(path("silent_upgrades")) += stats_.silentUpgrades;
-    registry.counter(path("invalidations")) += stats_.invalidationsSent;
-    registry.counter(path("downgrades")) += stats_.downgrades;
-    registry.counter(path("interventions")) += stats_.interventions;
-    registry.counter(path("latency_cycles")) += stats_.latency;
-    registry.counter(path("forwards_sent")) += stats_.forwardsSent;
-    registry.counter(path("forward_hits")) += stats_.forwardHits;
-    registry.counter(path("wasted_forwards")) += stats_.wastedForwards;
-    registry.counter(path("pollution_evictions")) +=
-        stats_.pollutionEvictions;
-    registry.counter(path("blocks_touched")) += blocksTouched_.size();
-    registry.counter(path("network_messages")) +=
-        torus_.totalMessages();
-    registry.counter(path("network_byte_hops")) +=
-        torus_.totalByteHops();
+    const std::pair<const char *, std::uint64_t> counters[] = {
+        {"reads", stats_.reads}, {"writes", stats_.writes},
+        {"read_misses", stats_.readMisses},
+        {"write_misses", stats_.writeMisses},
+        {"write_faults", stats_.writeFaults},
+        {"silent_upgrades", stats_.silentUpgrades},
+        {"invalidations", stats_.invalidationsSent},
+        {"downgrades", stats_.downgrades},
+        {"interventions", stats_.interventions},
+        {"latency_cycles", stats_.latency},
+        {"forwards_sent", stats_.forwardsSent},
+        {"forward_hits", stats_.forwardHits},
+        {"wasted_forwards", stats_.wastedForwards},
+        {"pollution_evictions", stats_.pollutionEvictions},
+        {"blocks_touched", blocksTouched_},
+        {"network_messages", torus_.totalMessages()},
+        {"network_byte_hops", torus_.totalByteHops()},
+    };
+    for (const auto &[leaf, value] : counters)
+        registry.counter(prefix + "." + leaf) += value;
     registry
-        .histogram(path("readers_per_kill"), readersPerKill_.size())
+        .histogram(prefix + ".readers_per_kill", readersPerKill_.size())
         .merge(readersPerKill_);
 }
 
@@ -406,7 +409,7 @@ void
 CoherenceController::finalizeTrace()
 {
     trace::TraceMeta &meta = trace_->meta();
-    meta.blocksTouched = blocksTouched_.size();
+    meta.blocksTouched = blocksTouched_;
     meta.totalOps = stats_.reads + stats_.writes;
     meta.reads = stats_.reads;
     meta.writes = stats_.writes;
@@ -419,85 +422,79 @@ CoherenceController::finalizeTrace()
     meta.interventions = stats_.interventions;
     meta.maxStaticStoresPerNode = 0;
     meta.maxPredictedStoresPerNode = 0;
-    for (unsigned i = 0; i < config_.nNodes; ++i) {
-        meta.maxStaticStoresPerNode =
-            std::max<std::uint64_t>(meta.maxStaticStoresPerNode,
-                                    staticStores_[i].size());
-        meta.maxPredictedStoresPerNode =
-            std::max<std::uint64_t>(meta.maxPredictedStoresPerNode,
-                                    predictedStores_[i].size());
+    for (NodeId i = 0; i < config_.nNodes; ++i) {
+        meta.maxStaticStoresPerNode = std::max(
+            meta.maxStaticStoresPerNode, staticStores(i));
+        meta.maxPredictedStoresPerNode = std::max(
+            meta.maxPredictedStoresPerNode, predictedStores(i));
     }
 }
 
 std::uint64_t
-CoherenceController::currentVersion(Addr addr)
+CoherenceController::currentVersion(Addr addr) const
 {
-    Addr block = blockOf(addr);
-    NodeId home = map_.homeOf(block, 0);
-    const DirectoryEntry *dir = slices_[home].find(block);
+    const DirectoryEntry *dir = blocks_.find(blockOf(addr));
     return dir ? dir->version : 0;
 }
 
 void
 CoherenceController::checkInvariants() const
 {
-    for (NodeId home = 0; home < config_.nNodes; ++home) {
-        for (const auto &[block, dir] : slices_[home]) {
-            unsigned modified_copies = 0;
-            unsigned owned_copies = 0;
-            for (NodeId n = 0; n < config_.nNodes; ++n) {
-                CacheState cs = caches_[n].state(block);
-                if (cs == CacheState::Invalid) {
-                    ccp_assert(!(dir.state == DirState::Shared &&
-                                 dir.sharers.test(n)),
-                               "sharer bit set for an invalid copy");
-                    continue;
-                }
-                if (cs == CacheState::Modified) {
-                    ++modified_copies;
-                    ++owned_copies;
-                    // Under MESI a silently-upgraded copy may still
-                    // look clean-Exclusive to the directory.
-                    ccp_assert((dir.state == DirState::Modified ||
-                                dir.state == DirState::Exclusive) &&
-                                   dir.owner == n,
-                               "modified copy without ownership");
-                }
-                if (cs == CacheState::Exclusive) {
-                    ++owned_copies;
-                    ccp_assert(dir.state == DirState::Exclusive &&
-                                   dir.owner == n,
-                               "exclusive copy without ownership");
-                }
-                ccp_assert(dir.sharers.test(n),
-                           "cached copy missing from sharer set");
-                ccp_assert(caches_[n].version(block) == dir.version,
-                           "stale version cached at node ", n);
+    blocks_.forEachTouched([&](Addr block, const DirectoryEntry &dir) {
+        unsigned modified_copies = 0;
+        unsigned owned_copies = 0;
+        for (NodeId n = 0; n < config_.nNodes; ++n) {
+            CacheState cs = caches_[n].state(block);
+            if (cs == CacheState::Invalid) {
+                ccp_assert(!(dir.state == DirState::Shared &&
+                             dir.sharers.test(n)),
+                           "sharer bit set for an invalid copy");
+                continue;
             }
-            ccp_assert(owned_copies <= 1,
-                       "multiple owned copies of block ", block);
-            if (dir.state == DirState::Modified) {
-                ccp_assert(modified_copies == 1,
-                           "directory Modified without a dirty copy");
-                ccp_assert(dir.sharers ==
-                               SharingBitmap::single(dir.owner),
-                           "Modified entry sharers != {owner}");
+            if (cs == CacheState::Modified) {
+                ++modified_copies;
+                ++owned_copies;
+                // Under MESI a silently-upgraded copy may still
+                // look clean-Exclusive to the directory.
+                ccp_assert((dir.state == DirState::Modified ||
+                            dir.state == DirState::Exclusive) &&
+                               dir.owner == n,
+                           "modified copy without ownership");
             }
-            if (dir.state == DirState::Exclusive) {
-                ccp_assert(owned_copies == 1,
-                           "directory Exclusive without an owner copy");
-                ccp_assert(dir.sharers ==
-                               SharingBitmap::single(dir.owner),
-                           "Exclusive entry sharers != {owner}");
+            if (cs == CacheState::Exclusive) {
+                ++owned_copies;
+                ccp_assert(dir.state == DirState::Exclusive &&
+                               dir.owner == n,
+                           "exclusive copy without ownership");
             }
-            if (dir.state == DirState::Uncached) {
-                ccp_assert(dir.sharers.empty(),
-                           "Uncached entry with sharers");
-                ccp_assert(owned_copies == 0,
-                           "Uncached entry with an owned copy");
-            }
+            ccp_assert(dir.sharers.test(n),
+                       "cached copy missing from sharer set");
+            ccp_assert(caches_[n].version(block) == dir.version,
+                       "stale version cached at node ", n);
         }
-    }
+        ccp_assert(owned_copies <= 1,
+                   "multiple owned copies of block ", block);
+        if (dir.state == DirState::Modified) {
+            ccp_assert(modified_copies == 1,
+                       "directory Modified without a dirty copy");
+            ccp_assert(dir.sharers ==
+                           SharingBitmap::single(dir.owner),
+                       "Modified entry sharers != {owner}");
+        }
+        if (dir.state == DirState::Exclusive) {
+            ccp_assert(owned_copies == 1,
+                       "directory Exclusive without an owner copy");
+            ccp_assert(dir.sharers ==
+                           SharingBitmap::single(dir.owner),
+                       "Exclusive entry sharers != {owner}");
+        }
+        if (dir.state == DirState::Uncached) {
+            ccp_assert(dir.sharers.empty(),
+                       "Uncached entry with sharers");
+            ccp_assert(owned_copies == 0,
+                       "Uncached entry with an owned copy");
+        }
+    });
 }
 
 } // namespace ccp::mem

@@ -11,6 +11,10 @@
  * store miss, wiring up the feedback (invalidated reader bitmap, last
  * writer) and outcome (eventual readers) exactly as defined in paper
  * sections 3.4 and 5.1.
+ *
+ * Per-access state lives in flat records, not hash containers: each
+ * block's directory entry, home and touched bit in a BlockStore
+ * (mem/directory.hh), and one StorePc record per store pc.
  */
 
 #ifndef CCP_MEM_PROTOCOL_HH
@@ -19,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "common/stats.hh"
@@ -94,9 +97,6 @@ class CoherenceController
     CoherenceController(const MachineConfig &config,
                         trace::SharingTrace *trace);
 
-    unsigned nNodes() const { return config_.nNodes; }
-    const MachineConfig &config() const { return config_; }
-
     /**
      * Online forwarding hook: called at every coherence store miss
      * with the freshly built event; the returned bitmap names the
@@ -129,13 +129,6 @@ class CoherenceController
     const CacheStats &cacheStats(NodeId node) const;
 
     /**
-     * Distribution of readers killed per coherence store miss (the
-     * invalidated-set popcount; bucket i = misses that invalidated
-     * exactly i readers).
-     */
-    const Histogram &readersPerKill() const { return readersPerKill_; }
-
-    /**
      * Export every protocol counter plus the readers-per-kill
      * histogram into @p registry under "<prefix>." paths.  Counters
      * add across calls (registry merge semantics), so exporting
@@ -143,17 +136,24 @@ class CoherenceController
      */
     void exportStats(obs::StatsRegistry &registry,
                      const std::string &prefix = "protocol") const;
-    net::Torus2D &torus() { return torus_; }
     const net::Torus2D &torus() const { return torus_; }
 
     /** Distinct blocks touched by any access so far. */
-    std::uint64_t blocksTouched() const { return blocksTouched_.size(); }
+    std::uint64_t blocksTouched() const { return blocksTouched_; }
 
     /** Distinct shared-data static stores executed at @p node. */
-    std::uint64_t staticStores(NodeId node) const;
+    std::uint64_t
+    staticStores(NodeId node) const
+    {
+        return storeCount(node, &StorePc::executed);
+    }
     /** Distinct static stores that caused coherence events at
      *  @p node. */
-    std::uint64_t predictedStores(NodeId node) const;
+    std::uint64_t
+    predictedStores(NodeId node) const
+    {
+        return storeCount(node, &StorePc::missed);
+    }
 
     /**
      * Copy the run-level statistics into the trace's metadata.  Call
@@ -176,33 +176,49 @@ class CoherenceController
     /**
      * The version a read by any node would observe right now — the
      * directory's version counter for the block.  Used by tests to
-     * prove readers always see the latest value.
+     * prove readers always see the latest value.  A pure query: it
+     * places no block.
      */
-    std::uint64_t currentVersion(Addr addr);
+    std::uint64_t currentVersion(Addr addr) const;
 
   private:
-    DirectoryEntry &dirEntry(Addr block, NodeId toucher, NodeId &home);
+    /** Per static store: the nodes that executed it, and those where
+     *  it caused a coherence store miss. */
+    struct StorePc
+    {
+        Pc pc;
+        SharingBitmap executed;
+        SharingBitmap missed;
+    };
+
+    /** The entry of @p block on an access by @p node that may be its
+     *  first: a first touch fixes the block's home. */
+    DirectoryEntry &touch(Addr block, NodeId node);
+    /** The record of @p pc, created on first use. */
+    StorePc &storePc(Pc pc);
+    /** Distinct store pcs whose @p bits include @p node. */
+    std::uint64_t storeCount(NodeId node,
+                             SharingBitmap StorePc::*bits) const;
     void recordReader(DirectoryEntry &dir, NodeId node);
     void handleVictim(NodeId node, const CacheLine &victim);
     void invalidateSharers(DirectoryEntry &dir, Addr block,
-                           NodeId except, NodeId home);
+                           NodeId except);
+    /** Account a hit in @p node's own cache (LRU and latency). */
+    void cacheHit(NodeId node, Addr block);
     void message(NodeId from, NodeId to, bool data);
     void noteForwardedTouch(NodeId node, Addr block);
-    void doForwarding(const trace::CoherenceEvent &ev, Addr block,
-                      NodeId home);
+    void doForwarding(const trace::CoherenceEvent &ev, DirectoryEntry &dir);
 
     MachineConfig config_;
     trace::SharingTrace *trace_;
     net::Torus2D torus_;
-    MemoryMap map_;
     std::vector<NodeCache> caches_;
-    std::vector<DirectorySlice> slices_;
+    BlockStore blocks_;
+    std::uint64_t blocksTouched_ = 0;
+    std::vector<StorePc> storePcs_;
     ProtocolStats stats_;
+    /** Bucket i: coherence store misses that killed i readers. */
     Histogram readersPerKill_;
-
-    std::unordered_set<Addr> blocksTouched_;
-    std::vector<std::unordered_set<Pc>> staticStores_;
-    std::vector<std::unordered_set<Pc>> predictedStores_;
     ForwardHook forwardHook_;
 };
 

@@ -72,7 +72,7 @@ trace::SharingTrace
 Machine::finish()
 {
     ctl_.finalizeTrace();
-    exportStats(obs::StatsRegistry::root());
+    exportStats(obs::StatsRegistry::current());
     ccp_debug("machine '", trace_.name(), "' finished: ", opsExecuted_,
               " ops, ", trace_.storeMisses(), " store misses, ",
               phaseSeconds_.count(), " phases");

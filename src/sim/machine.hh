@@ -73,8 +73,9 @@ class Machine
 
     /**
      * Finish the run: fold run statistics into the trace metadata,
-     * export the run's counters and phase timings into the root stats
-     * registry (under "protocol." and "sim."), and move the finalized
+     * export the run's counters and phase timings into this thread's
+     * current stats registry (under "protocol." and "sim."; a
+     * ScopedRegistry shard captures them), and move the finalized
      * trace out.  The machine must not be used afterwards.
      */
     trace::SharingTrace finish();

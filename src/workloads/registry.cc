@@ -1,6 +1,10 @@
 #include "workloads/registry.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
+#include "obs/registry.hh"
 #include "workloads/kernels.hh"
 
 namespace ccp::workloads {
@@ -46,14 +50,36 @@ generateTrace(const std::string &name, const WorkloadParams &params,
     return machine.finish();
 }
 
+void
+runSharded(std::size_t n, unsigned threads,
+           const std::function<void(std::size_t)> &job)
+{
+    if (threads == 0)
+        threads = ThreadPool::defaultThreads();
+    std::vector<obs::StatsRegistry> shards(n);
+    ThreadPool pool(static_cast<unsigned>(
+        std::clamp<std::size_t>(n, 1, threads)));
+    pool.forEach(
+        n,
+        [&](std::size_t i, unsigned) {
+            obs::ScopedRegistry route(shards[i]);
+            job(i);
+        },
+        1);
+    obs::StatsRegistry &parent = obs::StatsRegistry::current();
+    for (const auto &shard : shards)
+        parent.merge(shard);
+}
+
 std::vector<trace::SharingTrace>
 generateSuite(const WorkloadParams &params,
-              const mem::MachineConfig &config)
+              const mem::MachineConfig &config, unsigned threads)
 {
-    std::vector<trace::SharingTrace> traces;
-    traces.reserve(workloadNames().size());
-    for (const auto &name : workloadNames())
-        traces.push_back(generateTrace(name, params, config));
+    const auto &names = workloadNames();
+    std::vector<trace::SharingTrace> traces(names.size());
+    runSharded(names.size(), threads, [&](std::size_t i) {
+        traces[i] = generateTrace(names[i], params, config);
+    });
     return traces;
 }
 

@@ -7,6 +7,7 @@
 #ifndef CCP_WORKLOADS_REGISTRY_HH
 #define CCP_WORKLOADS_REGISTRY_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,10 +37,24 @@ trace::SharingTrace
 generateTrace(const std::string &name, const WorkloadParams &params,
               const mem::MachineConfig &config = mem::MachineConfig());
 
-/** Generate the full seven-benchmark suite. */
+/**
+ * Run job(i) for every i in [0, @p n) at the same time on up to
+ * @p threads workers (0 = one per hardware thread), each job under a
+ * stats registry shard of its own.  After every job has finished, the
+ * shards merge into the caller's current registry in index order, so
+ * the counters equal those of a serial run.
+ */
+void runSharded(std::size_t n, unsigned threads,
+                const std::function<void(std::size_t)> &job);
+
+/**
+ * Generate the full seven-benchmark suite, the traces at the same
+ * time (runSharded()).  The traces do not depend on @p threads.
+ */
 std::vector<trace::SharingTrace>
 generateSuite(const WorkloadParams &params,
-              const mem::MachineConfig &config = mem::MachineConfig());
+              const mem::MachineConfig &config = mem::MachineConfig(),
+              unsigned threads = 0);
 
 } // namespace ccp::workloads
 

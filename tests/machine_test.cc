@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/protocol.hh"
+#include "obs/registry.hh"
 #include "sim/machine.hh"
 
 namespace {
@@ -127,6 +128,34 @@ TEST(Machine, FinishMovesFinalizedTrace)
     EXPECT_EQ(tr.meta().totalOps, 2u);
     EXPECT_EQ(tr.meta().blocksTouched, 2u);
     EXPECT_EQ(tr.meta().maxStaticStoresPerNode, 1u);
+}
+
+TEST(Machine, FinishExportsIntoTheCurrentRegistry)
+{
+    obs::StatsRegistry &root = obs::StatsRegistry::root();
+    auto root_ops = [&root] {
+        const auto *c = root.findCounter("sim.ops");
+        return c ? c->value : 0;
+    };
+    const auto root_paths = root.paths();
+    const std::uint64_t ops_before = root_ops();
+
+    obs::StatsRegistry shard;
+    {
+        obs::ScopedRegistry scope(shard);
+        Machine m(smallConfig(), "sharded", 1);
+        PhaseOps ops(4);
+        ops[1].push_back({blockBase(3), 0x404, true});
+        ops[2].push_back({blockBase(3), 0x408, false});
+        m.runPhase(ops);
+        m.finish();
+    }
+    ASSERT_NE(shard.findCounter("sim.ops"), nullptr);
+    EXPECT_EQ(shard.findCounter("sim.ops")->value, 2u);
+    EXPECT_EQ(shard.findCounter("protocol.writes")->value, 1u);
+    EXPECT_EQ(shard.findCounter("protocol.blocks_touched")->value, 1u);
+    EXPECT_EQ(root.paths(), root_paths);
+    EXPECT_EQ(root_ops(), ops_before);
 }
 
 TEST(Machine, WrongPhaseWidthDies)

@@ -506,3 +506,18 @@ TEST(MesiProperty, NeverMoreEventsThanMsi)
 }
 
 } // namespace
+
+namespace {
+
+TEST(Protocol, CurrentVersionDoesNotPinHome)
+{
+    SharingTrace tr("query", 16);
+    CoherenceController ctl(MachineConfig(), &tr);
+    EXPECT_EQ(ctl.currentVersion(blockBase(7)), 0u);
+    ctl.write(5, blockBase(7), 0x400);
+    ASSERT_EQ(tr.events().size(), 1u);
+    EXPECT_EQ(tr.events()[0].dir, 5u); // the writer, not the query
+    EXPECT_EQ(ctl.blocksTouched(), 1u);
+}
+
+} // namespace

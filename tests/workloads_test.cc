@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "obs/registry.hh"
+#include "trace/format.hh"
 #include "workloads/registry.hh"
 
 namespace {
@@ -39,6 +43,45 @@ TEST(Registry, MakeByNameRoundTrips)
 {
     for (const auto &name : workloadNames())
         EXPECT_EQ(makeWorkload(name, tinyParams())->name(), name);
+}
+
+TEST(Registry, ParallelSuiteEqualsSerialSuite)
+{
+    WorkloadParams p = tinyParams();
+    p.scale = 0.02;
+    obs::StatsRegistry serial_reg, parallel_reg;
+    std::vector<trace::SharingTrace> serial, parallel;
+    {
+        obs::ScopedRegistry route(serial_reg);
+        serial = workloads::generateSuite(p, mem::MachineConfig(), 1);
+    }
+    {
+        obs::ScopedRegistry route(parallel_reg);
+        parallel = workloads::generateSuite(p, mem::MachineConfig(), 4);
+    }
+    ASSERT_EQ(serial.size(), workloadNames().size());
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(parallel[i].name(), workloadNames()[i]);
+        EXPECT_EQ(trace::packMeta(parallel[i].meta()),
+                  trace::packMeta(serial[i].meta()));
+        ASSERT_EQ(parallel[i].events().size(), serial[i].events().size());
+        for (std::size_t e = 0; e < serial[i].events().size(); ++e) {
+            const auto a = trace::packEvent(parallel[i].events()[e]);
+            const auto b = trace::packEvent(serial[i].events()[e]);
+            ASSERT_EQ(std::memcmp(&a, &b, sizeof(a)), 0)
+                << serial[i].name() << " event " << e;
+        }
+    }
+    // Every counter of the serial run, summed over the suite.
+    EXPECT_GT(serial_reg.findCounter("protocol.writes")->value, 0u);
+    EXPECT_EQ(parallel_reg.paths(), serial_reg.paths());
+    for (const auto &path : serial_reg.paths()) {
+        const auto *c = serial_reg.findCounter(path);
+        if (!c)
+            continue;
+        EXPECT_EQ(parallel_reg.findCounter(path)->value, c->value) << path;
+    }
 }
 
 TEST(Registry, UnknownNameIsFatal)
@@ -200,6 +243,10 @@ TEST(KernelStructure, WorksOnSmallerMachines)
     p.nNodes = 8;
     mem::MachineConfig cfg;
     cfg.nNodes = 8;
+    // An 8-node readers-per-kill histogram cannot merge with the
+    // 16-node one the other tests leave in the process's registry.
+    obs::StatsRegistry shard;
+    obs::ScopedRegistry route(shard);
     auto tr = generateTrace("em3d", p, cfg);
     EXPECT_EQ(tr.nNodes(), 8u);
     EXPECT_GT(tr.storeMisses(), 0u);
