@@ -39,9 +39,19 @@ SetAssocCache::find(Addr block) const
 void
 SetAssocCache::touch(Addr block)
 {
-    // Rotate [MRU, line] right by one so the line becomes MRU (way 0).
     if (CacheLine *line = find(block))
-        std::rotate(&ways_[setOf(block) * geom_.assoc], line, line + 1);
+        touch(*line);
+}
+
+CacheLine &
+SetAssocCache::touch(CacheLine &line)
+{
+    // Rotate [MRU, line] right by one so the line becomes MRU (way 0).
+    CacheLine *set = setBase(line.block);
+    ccp_assert(&line >= set && &line < set + geom_.assoc,
+               "touch of a line outside this cache");
+    std::rotate(set, &line, &line + 1);
+    return *set;
 }
 
 std::optional<CacheLine>
@@ -54,23 +64,37 @@ SetAssocCache::insert(Addr block, CacheState state,
     if (CacheLine *line = find(block)) {
         line->state = state;
         line->version = version;
-        touch(block);
+        touch(*line);
         return std::nullopt;
     }
+    return insertAbsent(
+        CacheLine{.block = block, .version = version, .state = state});
+}
 
-    // Prefer an invalid way; otherwise evict the LRU way (the last).
-    CacheLine *set = &ways_[setOf(block) * geom_.assoc];
-    CacheLine *way = std::find_if(set, set + geom_.assoc - 1,
-                                  [](const CacheLine &l) {
-                                      return !l.valid();
-                                  });
+std::optional<CacheLine>
+SetAssocCache::insertAbsent(const CacheLine &line)
+{
+    ccp_assert(line.valid(), "inserting invalid line");
+
+    // Prefer the first invalid way; otherwise evict the LRU way (the
+    // last).  One pass picks it and checks the block is absent.
+    CacheLine *set = setBase(line.block);
+    CacheLine *way = nullptr;
+    for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
+        ccp_assert(!(set[w].valid() && set[w].block == line.block),
+                   "inserting block ", line.block, " already cached");
+        if (!way && !set[w].valid())
+            way = &set[w];
+    }
+    if (!way)
+        way = &set[geom_.assoc - 1];
     std::optional<CacheLine> victim;
     if (way->valid())
         victim = *way;
 
     // Shift [MRU, way) down and install at the MRU position.
     std::rotate(set, way, way + 1);
-    *set = CacheLine{block, state, version};
+    *set = line;
     return victim;
 }
 
@@ -122,19 +146,12 @@ NodeCache::version(Addr block) const
 }
 
 bool
-NodeCache::access(Addr block)
+NodeCache::access(CacheLine &line)
 {
-    CacheLine *l2_line = l2_.find(block);
-    if (!l2_line)
-        return false;
-    // Copy before touch(): LRU reordering moves lines within the set
-    // and invalidates the pointer.
-    CacheState l2_state = l2_line->state;
-    std::uint64_t l2_version = l2_line->version;
-    l2_.touch(block);
+    const CacheLine &l2_line = l2_.touch(line);
 
-    if (l1_.find(block)) {
-        l1_.touch(block);
+    if (CacheLine *l1_line = l1_.find(l2_line.block)) {
+        l1_.touch(*l1_line);
         ++stats_.l1Hits;
         return true;
     }
@@ -142,7 +159,10 @@ NodeCache::access(Addr block)
     // L1 miss that hits in the (inclusive) L2: refill the L1.  The L1
     // victim needs no directory action since the L2 still holds it.
     ++stats_.l2Hits;
-    l1_.insert(block, l2_state, l2_version);
+    l1_.insertAbsent(
+        CacheLine{.block = l2_line.block,
+                  .version = l2_line.version,
+                  .state = l2_line.state});
     return false;
 }
 
@@ -150,7 +170,11 @@ std::optional<CacheLine>
 NodeCache::fill(Addr block, CacheState state, std::uint64_t version,
                 bool forwarded)
 {
-    std::optional<CacheLine> victim = l2_.insert(block, state, version);
+    std::optional<CacheLine> victim =
+        l2_.insertAbsent(CacheLine{.block = block,
+                                   .version = version,
+                                   .state = state,
+                                   .forwarded = forwarded});
     if (victim) {
         // Inclusion: an L2 eviction kicks the block out of the L1 too.
         l1_.invalidate(victim->block);
@@ -158,21 +182,17 @@ NodeCache::fill(Addr block, CacheState state, std::uint64_t version,
         if (victim->state == CacheState::Modified)
             ++stats_.writebacks;
     }
-    if (CacheLine *line = l2_.find(block)) {
-        line->forwarded = forwarded;
-        line->accessed = false;
-    }
-    l1_.insert(block, state, version);
+    l1_.insertAbsent(
+        CacheLine{.block = block, .version = version, .state = state});
     return victim;
 }
 
 bool
-NodeCache::consumeForwardedTouch(Addr block)
+NodeCache::consumeForwardedTouch(CacheLine &line)
 {
-    CacheLine *line = l2_.find(block);
-    if (!line || !line->forwarded || line->accessed)
+    if (!line.forwarded || line.accessed)
         return false;
-    line->accessed = true;
+    line.accessed = true;
     return true;
 }
 
@@ -193,13 +213,12 @@ NodeCache::upgrade(Addr block, std::uint64_t new_version)
 }
 
 void
-NodeCache::upgradeSilent(Addr block)
+NodeCache::upgradeSilent(CacheLine &line)
 {
-    CacheLine *l2_line = l2_.find(block);
-    ccp_assert(l2_line && l2_line->state == CacheState::Exclusive,
+    ccp_assert(line.state == CacheState::Exclusive,
                "silent upgrade of a non-exclusive block");
-    l2_line->state = CacheState::Modified;
-    if (CacheLine *l1_line = l1_.find(block))
+    line.state = CacheState::Modified;
+    if (CacheLine *l1_line = l1_.find(line.block))
         l1_line->state = CacheState::Modified;
 }
 

@@ -8,6 +8,14 @@
  * of the cached value); the actual computation happens functionally in
  * the workload kernels.  The L2 is inclusive of the L1: coherence
  * state lives at the L2, and L2 evictions back-invalidate the L1.
+ *
+ * One scan per set on the access path: a processor hit finds its L2
+ * line once (NodeCache::find) and hands that line to the
+ * forwarded-touch, silent-upgrade and access steps; only the L1 is
+ * probed once more.  Fills never search for the block: the
+ * precondition of NodeCache::fill() is that the block is not cached at
+ * that node, and SetAssocCache::insertAbsent() checks it in the same
+ * pass that picks the victim way.
  */
 
 #ifndef CCP_MEM_CACHE_HH
@@ -32,13 +40,15 @@ enum class CacheState : std::uint8_t
     Modified,
 };
 
-/** One cache line's metadata. */
+/** One cache line's metadata.  The two words come first and the
+ *  one-byte fields share the last word: 24 bytes where interleaving
+ *  them padded to 32, so every L2 set lookup reads less memory. */
 struct CacheLine
 {
     Addr block = 0;
-    CacheState state = CacheState::Invalid;
     /** Version of the value held (for protocol correctness checks). */
     std::uint64_t version = 0;
+    CacheState state = CacheState::Invalid;
     /** The line arrived by prediction-driven forwarding, not demand. */
     bool forwarded = false;
     /** A forwarded line was touched by the local processor (the
@@ -84,13 +94,26 @@ class SetAssocCache
     /** Mark @p block most recently used (no-op if absent). */
     void touch(Addr block);
 
+    /** Mark @p line, a line of this cache, most recently used.  This
+     *  moves lines within its set: @return the line's new address. */
+    CacheLine &touch(CacheLine &line);
+
     /**
      * Insert @p block with @p state, evicting the LRU line of the set
-     * if needed.  @return the evicted line's metadata if a valid line
-     * was displaced.
+     * if needed; a block already present is updated in place and made
+     * MRU.  @return the evicted line's metadata if a valid line was
+     * displaced.
      */
     std::optional<CacheLine> insert(Addr block, CacheState state,
                                     std::uint64_t version);
+
+    /**
+     * Install @p line at the MRU way of its set; its block must not be
+     * present (asserted in the same pass that picks the way).
+     * @return the evicted line's metadata if a valid line was
+     * displaced.
+     */
+    std::optional<CacheLine> insertAbsent(const CacheLine &line);
 
     /** Drop @p block if present.  @return its metadata if it was
      *  valid. */
@@ -103,6 +126,13 @@ class SetAssocCache
     std::uint32_t validLines() const;
 
   private:
+    /** The first way of @p block's set. */
+    CacheLine *
+    setBase(Addr block)
+    {
+        return &ways_[setOf(block) * geom_.assoc];
+    }
+
     std::uint32_t
     setOf(Addr block) const
     {
@@ -151,13 +181,21 @@ class NodeCache
     std::uint64_t version(Addr block) const;
 
     /**
-     * Record a processor-side access for hit accounting and LRU
-     * update.  @return true if it hit in the L1.
+     * The L2 line holding @p block, or nullptr if it is not cached.
+     * The line-taking operations below expect this pointer; it stays
+     * valid until the next operation that changes this node's cache.
      */
-    bool access(Addr block);
+    CacheLine *find(Addr block) { return l2_.find(block); }
 
     /**
-     * Fill @p block in @p state after a coherence transaction.
+     * Record a processor-side hit on @p line (from find()) for hit
+     * accounting and LRU update.  @return true if it hit in the L1.
+     */
+    bool access(CacheLine &line);
+
+    /**
+     * Fill @p block in @p state after a coherence transaction.  The
+     * block must not be cached at this node.
      * @param forwarded Mark the line as prediction-forwarded (its
      *                  access bit starts clear).
      * @return the L2 victim if a valid block was displaced (the
@@ -168,18 +206,19 @@ class NodeCache
                                   bool forwarded = false);
 
     /**
-     * If @p block is a forwarded line not yet touched, set its access
-     * bit and return true (exactly once per forwarded fill).
+     * If @p line (from find()) was forwarded and not yet touched, set
+     * its access bit and return true (exactly once per forwarded
+     * fill).
      */
-    bool consumeForwardedTouch(Addr block);
+    bool consumeForwardedTouch(CacheLine &line);
 
     /** Upgrade a Shared copy to Modified (write fault granted). */
     void upgrade(Addr block, std::uint64_t new_version);
 
-    /** Silently upgrade an Exclusive copy to Modified (MESI): no
-     *  coherence transaction, and the version is unchanged — the
-     *  exclusive episode began at the E grant. */
-    void upgradeSilent(Addr block);
+    /** Silently upgrade the Exclusive L2 line @p line (from find())
+     *  to Modified (MESI): no coherence transaction, and the version
+     *  is unchanged — the exclusive episode began at the E grant. */
+    void upgradeSilent(CacheLine &line);
 
     /** Downgrade a Modified or Exclusive copy to Shared (remote
      *  read). */

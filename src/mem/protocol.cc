@@ -52,10 +52,10 @@ CoherenceController::storeCount(NodeId node,
 }
 
 void
-CoherenceController::cacheHit(NodeId node, Addr block)
+CoherenceController::cacheHit(NodeId node, CacheLine &line)
 {
     stats_.latency +=
-        caches_[node].access(block) ? l1HitCycles : l2HitCycles;
+        caches_[node].access(line) ? l1HitCycles : l2HitCycles;
 }
 
 void
@@ -92,15 +92,15 @@ CoherenceController::storePc(Pc pc)
 }
 
 void
-CoherenceController::noteForwardedTouch(NodeId node, Addr block)
+CoherenceController::noteForwardedTouch(NodeId node, CacheLine &line)
 {
-    if (!caches_[node].consumeForwardedTouch(block))
+    if (!caches_[node].consumeForwardedTouch(line))
         return;
     // First local use of a prediction-forwarded line: a remote read
     // miss was avoided, and the access bit makes this node a true
     // reader of the current version.
     ++stats_.forwardHits;
-    recordReader(blocks_.at(block), node);
+    recordReader(blocks_.at(line.block), node);
 }
 
 void
@@ -214,9 +214,9 @@ CoherenceController::read(NodeId node, Addr addr)
     Addr block = blockOf(addr);
     ++stats_.reads;
 
-    if (caches_[node].state(block) != CacheState::Invalid) {
-        noteForwardedTouch(node, block);
-        cacheHit(node, block);
+    if (CacheLine *line = caches_[node].find(block)) {
+        noteForwardedTouch(node, *line);
+        cacheHit(node, *line);
         return;
     }
 
@@ -283,15 +283,16 @@ CoherenceController::write(NodeId node, Addr addr, Pc pc)
     StorePc &store = storePc(pc);
     store.executed.set(node);
 
-    CacheState st = caches_[node].state(block);
+    CacheLine *line = caches_[node].find(block);
+    CacheState st = line ? line->state : CacheState::Invalid;
     if (st == CacheState::Exclusive) {
         // MESI: silent E->M upgrade, invisible to the directory and
         // to the predictors (no coherence store miss).
-        caches_[node].upgradeSilent(block);
+        caches_[node].upgradeSilent(*line);
         ++stats_.silentUpgrades;
     }
     if (st == CacheState::Modified || st == CacheState::Exclusive) {
-        cacheHit(node, block);
+        cacheHit(node, *line);
         return;
     }
 
@@ -380,6 +381,16 @@ void
 CoherenceController::exportStats(obs::StatsRegistry &registry,
                                  const std::string &prefix) const
 {
+    CacheStats caches;
+    for (const NodeCache &c : caches_) {
+        const CacheStats &s = c.stats();
+        caches.l1Hits += s.l1Hits;
+        caches.l2Hits += s.l2Hits;
+        caches.misses += s.misses;
+        caches.upgrades += s.upgrades;
+        caches.l2Evictions += s.l2Evictions;
+        caches.writebacks += s.writebacks;
+    }
     const std::pair<const char *, std::uint64_t> counters[] = {
         {"reads", stats_.reads}, {"writes", stats_.writes},
         {"read_misses", stats_.readMisses},
@@ -397,6 +408,10 @@ CoherenceController::exportStats(obs::StatsRegistry &registry,
         {"blocks_touched", blocksTouched_},
         {"network_messages", torus_.totalMessages()},
         {"network_byte_hops", torus_.totalByteHops()},
+        {"l1_hits", caches.l1Hits}, {"l2_hits", caches.l2Hits},
+        {"cache_misses", caches.misses}, {"upgrades", caches.upgrades},
+        {"l2_evictions", caches.l2Evictions},
+        {"writebacks", caches.writebacks},
     };
     for (const auto &[leaf, value] : counters)
         registry.counter(prefix + "." + leaf) += value;

@@ -129,10 +129,11 @@ class CoherenceController
     const CacheStats &cacheStats(NodeId node) const;
 
     /**
-     * Export every protocol counter plus the readers-per-kill
-     * histogram into @p registry under "<prefix>." paths.  Counters
-     * add across calls (registry merge semantics), so exporting
-     * several machines accumulates suite-wide totals.
+     * Export every protocol counter, the nodes' CacheStats summed
+     * over nodes, and the readers-per-kill histogram into
+     * @p registry under "<prefix>." paths.  Counters add across
+     * calls (registry merge semantics), so exporting several
+     * machines accumulates suite-wide totals.
      */
     void exportStats(obs::StatsRegistry &registry,
                      const std::string &prefix = "protocol") const;
@@ -203,10 +204,11 @@ class CoherenceController
     void handleVictim(NodeId node, const CacheLine &victim);
     void invalidateSharers(DirectoryEntry &dir, Addr block,
                            NodeId except);
-    /** Account a hit in @p node's own cache (LRU and latency). */
-    void cacheHit(NodeId node, Addr block);
+    /** Account a hit on @p line, @p node's L2 line of the block
+     *  (LRU and latency). */
+    void cacheHit(NodeId node, CacheLine &line);
     void message(NodeId from, NodeId to, bool data);
-    void noteForwardedTouch(NodeId node, Addr block);
+    void noteForwardedTouch(NodeId node, CacheLine &line);
     void doForwarding(const trace::CoherenceEvent &ev, DirectoryEntry &dir);
 
     MachineConfig config_;

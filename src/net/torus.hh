@@ -12,6 +12,11 @@
  * hop-latency approximation anchored to the paper's local/remote
  * latencies, and per-link traffic accounting for X-Y dimension-order
  * routing.
+ *
+ * The geometry is static, so the constructor tabulates it for every
+ * (from, to) pair (at most maxNodes^2): the X-Y route as link indices
+ * (its length is the hop count) and latency().  A message then costs
+ * one table walk, with no ring arithmetic per hop.
  */
 
 #ifndef CCP_NET_TORUS_HH
@@ -87,19 +92,36 @@ class Torus2D
     /** Bytes recorded on the busiest single link. */
     std::uint64_t maxLinkBytes() const;
 
+    /**
+     * Per-link byte counters, 4 per node: entry (y * width + x) * 4 +
+     * dir is the link leaving node (x, y) in direction dir (0: +x,
+     * 1: -x, 2: +y, 3: -y).
+     */
+    const std::vector<std::uint64_t> &linkBytes() const
+    {
+        return linkBytes_;
+    }
+
     /** Reset all traffic counters. */
     void clearTraffic();
 
   private:
-    unsigned linkIndex(unsigned x, unsigned y, unsigned dir) const;
-    void accountPath(NodeId from, NodeId to, unsigned bytes);
+    /** Index of pair (from, to) in the tables; asserts both ids. */
+    std::size_t pair(NodeId from, NodeId to) const;
+    /** Append the X-Y route from @p from to @p to to routeLinks_. */
+    void appendRoute(NodeId from, NodeId to);
 
     unsigned width_;
     unsigned height_;
     TorusParams params_;
-    double meanHops_;
 
-    /** Per-link byte counters: 4 directions per node (+x,-x,+y,-y). */
+    /** Pair p's route is routeLinks_[routeStart_[p], routeStart_[p+1]):
+     *  the links it traverses in order, one per hop. */
+    std::vector<std::uint32_t> routeStart_;
+    std::vector<std::uint16_t> routeLinks_;
+    /** latency() of each pair. */
+    std::vector<Cycles> latency_;
+
     std::vector<std::uint64_t> linkBytes_;
     std::uint64_t totalByteHops_ = 0;
     std::uint64_t totalMessages_ = 0;

@@ -10,7 +10,10 @@
 #include <ostream>
 
 #include "common/rng.hh"
+#include "forward/online.hh"
 #include "mem/protocol.hh"
+#include "obs/registry.hh"
+#include "sweep/name.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -518,6 +521,62 @@ TEST(Protocol, CurrentVersionDoesNotPinHome)
     ASSERT_EQ(tr.events().size(), 1u);
     EXPECT_EQ(tr.events()[0].dir, 5u); // the writer, not the query
     EXPECT_EQ(ctl.blocksTouched(), 1u);
+}
+
+TEST(Protocol, CacheCountersAccountForEveryAccess)
+{
+    // Every access ends in exactly one of an L1 hit, an L2 hit, a miss
+    // or an upgrade, under either protocol and with forwarded fills.
+    struct Case
+    {
+        const char *label;
+        mem::ProtocolKind protocol;
+        bool online;
+    };
+    for (const Case &c : {Case{"msi", mem::ProtocolKind::MSI, false},
+                          Case{"mesi", mem::ProtocolKind::MESI, false},
+                          Case{"msi_online", mem::ProtocolKind::MSI, true}}) {
+        MachineConfig cfg = smallConfig();
+        cfg.protocol = c.protocol;
+        SharingTrace tr(c.label, 4);
+        CoherenceController ctl(cfg, &tr);
+        forward::OnlineForwarder fwd(
+            sweep::parseScheme("inter(pid+pc8)2")->scheme, cfg.nNodes);
+        if (c.online)
+            fwd.attach(ctl);
+        Rng rng(11);
+        for (int i = 0; i < 8000; ++i) {
+            NodeId node = static_cast<NodeId>(rng.below(4));
+            Addr addr = blockBase(rng.below(160));
+            if (rng.chance(0.3))
+                ctl.write(node, addr, 0x400 + 4 * rng.below(8));
+            else
+                ctl.read(node, addr);
+        }
+        obs::StatsRegistry reg;
+        ctl.exportStats(reg);
+        auto count = [&](const char *leaf) {
+            const auto *ctr =
+                reg.findCounter(std::string("protocol.") + leaf);
+            EXPECT_NE(ctr, nullptr) << leaf;
+            return ctr ? ctr->value : 0;
+        };
+        EXPECT_EQ(count("l1_hits") + count("l2_hits") +
+                      count("cache_misses") + count("upgrades"),
+                  count("reads") + count("writes"))
+            << c.label;
+        EXPECT_EQ(count("cache_misses"),
+                  count("read_misses") + count("write_misses"))
+            << c.label;
+        EXPECT_EQ(count("upgrades"), count("write_faults")) << c.label;
+        // The tiny caches must exercise every counter.
+        for (const char *leaf : {"l1_hits", "l2_hits", "l2_evictions",
+                                 "writebacks"})
+            EXPECT_GT(count(leaf), 0u) << c.label << " " << leaf;
+        if (c.online) {
+            EXPECT_GT(count("forwards_sent"), 0u);
+        }
+    }
 }
 
 } // namespace

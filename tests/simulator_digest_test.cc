@@ -7,10 +7,18 @@
  * workloads, the machine's interleaving, the caches or the protocol
  * engine that changes a single event bit fails here.
  *
- * The committed digests were computed before the controller's
- * per-block record store replaced its hash containers.  On a failure
- * the message prints the digest the current code produces; refresh a
- * digest only for a change that is meant to alter the traces.
+ * A second digest per workload covers what the trace does not carry:
+ * every `protocol.*` counter (latency, network traffic, the nodes'
+ * hit/miss/eviction counts) and the readers-per-kill histogram the
+ * machine exports, so a change to LRU order or to the torus model
+ * that leaves the events alone still fails here.
+ *
+ * The committed trace digests were computed before the controller's
+ * per-block record store replaced its hash containers, the counter
+ * digests before the single-scan cache hit path and the torus route
+ * tables.  On a failure the message prints the digest the current
+ * code produces; refresh a digest only for a change that is meant to
+ * alter the simulator's output.
  */
 
 #include <gtest/gtest.h>
@@ -56,6 +64,14 @@ class Fnv
     std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
+std::string
+hex(const Fnv &h)
+{
+    char out[17];
+    std::snprintf(out, sizeof(out), "%016" PRIx64, h.value());
+    return out;
+}
+
 /** FNV-1a over a trace's name, shape, metadata and every event. */
 std::string
 traceDigest(const trace::SharingTrace &tr)
@@ -78,9 +94,32 @@ traceDigest(const trace::SharingTrace &tr)
               std::uint64_t{e.prevWriterPid},
               std::uint64_t{e.hasPrevWriter}, e.prevEvent})
             h.word(v);
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016" PRIx64, h.value());
-    return hex;
+    return hex(h);
+}
+
+/** FNV-1a over every `protocol.*` counter and histogram in
+ *  @p shard, path names included. */
+std::string
+counterDigest(const obs::StatsRegistry &shard)
+{
+    Fnv h;
+    for (const std::string &path : shard.paths()) {
+        if (path.rfind("protocol.", 0) != 0)
+            continue;
+        h.bytes(path.data(), path.size());
+        if (const auto *c = shard.findCounter(path)) {
+            h.word(c->value);
+        } else if (const Histogram *hist = shard.findHistogram(path)) {
+            h.word(hist->size());
+            for (std::size_t i = 0; i < hist->size(); ++i)
+                h.word(hist->bucket(i));
+            h.word(hist->overflow());
+            h.word(hist->total());
+        } else {
+            ADD_FAILURE() << path << " is neither counter nor histogram";
+        }
+    }
+    return hex(h);
 }
 
 struct DigestCase
@@ -91,8 +130,10 @@ struct DigestCase
     PlacementPolicy placement;
     /** Run with an `inter(pid+pc8)2` online forwarder attached. */
     bool online;
-    /** One digest per workload, in workloadNames() order. */
+    /** One trace digest per workload, in workloadNames() order. */
     std::array<const char *, 7> digests;
+    /** One counterDigest() per workload, in the same order. */
+    std::array<const char *, 7> counterDigests;
 };
 
 void
@@ -101,16 +142,17 @@ PrintTo(const DigestCase &c, std::ostream *os)
     *os << c.label;
 }
 
+/** Generate workload @p name under @p c; the machine exports its
+ *  counters into @p shard, not the process-wide registry (whose
+ *  readers-per-kill histogram is sized by the node count). */
 trace::SharingTrace
-generate(const DigestCase &c, const std::string &name)
+generate(const DigestCase &c, const std::string &name,
+         obs::StatsRegistry &shard)
 {
     workloads::WorkloadParams params;
     params.nNodes = c.nodes;
     params.seed = digestSeed;
     params.scale = digestScale;
-    // Keep the machines' counters out of the process-wide registry:
-    // its readers-per-kill histogram is sized by the node count.
-    obs::StatsRegistry shard;
     obs::ScopedRegistry route(shard);
     mem::MachineConfig cfg;
     cfg.nNodes = c.nodes;
@@ -137,9 +179,25 @@ TEST_P(SimulatorDigest, EveryWorkloadTraceMatchesItsDigest)
     const DigestCase &c = GetParam();
     const auto &names = workloads::workloadNames();
     ASSERT_EQ(names.size(), c.digests.size());
-    for (std::size_t i = 0; i < names.size(); ++i)
-        EXPECT_EQ(traceDigest(generate(c, names[i])), c.digests[i])
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        obs::StatsRegistry shard;
+        EXPECT_EQ(traceDigest(generate(c, names[i], shard)), c.digests[i])
             << names[i] << " under " << c.label;
+    }
+}
+
+TEST_P(SimulatorDigest, EveryWorkloadCounterSetMatchesItsDigest)
+{
+    const DigestCase &c = GetParam();
+    const auto &names = workloads::workloadNames();
+    ASSERT_EQ(names.size(), c.counterDigests.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        obs::StatsRegistry shard;
+        generate(c, names[i], shard);
+        ASSERT_TRUE(shard.findCounter("protocol.l1_hits"));
+        EXPECT_EQ(counterDigest(shard), c.counterDigests[i])
+            << names[i] << " under " << c.label;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -149,37 +207,58 @@ INSTANTIATE_TEST_SUITE_P(
                    PlacementPolicy::FirstTouch, false,
                    {"c876b68bb7e22182", "b63cac9277900e2e", "556f6c627ba4138c",
                     "cf0d27d60bf1c13e", "438010994f60365a", "da5eb922f4ee724c",
-                    "09cc977bffafd682"}},
+                    "09cc977bffafd682"},
+                   {"8d1b6587ace76807", "7e95fd0b70267d50", "752f2e54ab8f5871",
+                    "e6931a404c6c749f", "ffc52d589a87b309", "18e337ce08f00b59",
+                    "0eb5d0e5c75bd2f4"}},
         DigestCase{"msi_interleaved_16", 16, ProtocolKind::MSI,
                    PlacementPolicy::Interleaved, false,
                    {"7dda9b0c43c9472c", "24c27a62c5e00417", "351ed22fba69013c",
                     "84b786a75bcced62", "add235bf7bbf529a", "03994021fcfb73e2",
-                    "647d2f7b9825efea"}},
+                    "647d2f7b9825efea"},
+                   {"3024624a61af71ea", "6fc309e72d92c126", "78b28368fea2f418",
+                    "ae0bfb96bbd93f58", "d14d727b9e608db9", "2a0f90968ee0cd5c",
+                    "e5c8fe48f583e227"}},
         DigestCase{"mesi_first_touch_16", 16, ProtocolKind::MESI,
                    PlacementPolicy::FirstTouch, false,
                    {"ac21a16640b9ff64", "b63cac9277900e2e", "3f049fe46b6ee599",
                     "ce7831d6252e7c7a", "e13249927e3aa88d", "da5eb922f4ee724c",
-                    "09cc977bffafd682"}},
+                    "09cc977bffafd682"},
+                   {"af4242d16976c680", "7e95fd0b70267d50", "01c93941c4b9b98b",
+                    "e3660460891556e5", "8e0f80b802a450bd", "18e337ce08f00b59",
+                    "0eb5d0e5c75bd2f4"}},
         DigestCase{"mesi_interleaved_16", 16, ProtocolKind::MESI,
                    PlacementPolicy::Interleaved, false,
                    {"3462a472a148649d", "24c27a62c5e00417", "1e5104410323e4fd",
                     "04ee2e2e1fc28096", "da360387c922880d", "03994021fcfb73e2",
-                    "647d2f7b9825efea"}},
+                    "647d2f7b9825efea"},
+                   {"54bcea2bbb245d11", "6fc309e72d92c126", "6bdc13e23b8056a3",
+                    "a8f87febc25066ea", "0dc7a79d387bb7e6", "2a0f90968ee0cd5c",
+                    "e5c8fe48f583e227"}},
         DigestCase{"msi_first_touch_4", 4, ProtocolKind::MSI,
                    PlacementPolicy::FirstTouch, false,
                    {"97211d029f034d1d", "a0c05e062d93fbc0", "ee9d007a83e02d8b",
                     "00664074b065d644", "3bd3f38b22f03002", "1ec36c9614dfd8fc",
-                    "b8ddcbeab8f51d39"}},
+                    "b8ddcbeab8f51d39"},
+                   {"c4e8879b70488c4c", "641ac1d9b64c4785", "4510dc4e439d1118",
+                    "14415026724b90d5", "da4d2759569eaf85", "8933782bdc2f0769",
+                    "3418f493abc53df1"}},
         DigestCase{"msi_first_touch_64", 64, ProtocolKind::MSI,
                    PlacementPolicy::FirstTouch, false,
                    {"3c4b75e4dff84075", "0289589c4cd88ff3", "df3653e2f8fbbbfe",
                     "2e1549d1d42d2550", "00bc466bfe7f09bf", "b3ab422502104596",
-                    "8e6c5d125880634b"}},
+                    "8e6c5d125880634b"},
+                   {"278218fe26b55d7f", "48c1c66ff4e29879", "e4e03dc1fa03abf9",
+                    "13ab0c8e56e792c8", "7896a13548dc280f", "7919fe3e9a1424d0",
+                    "d320b0ced6971323"}},
         DigestCase{"msi_first_touch_16_online", 16, ProtocolKind::MSI,
                    PlacementPolicy::FirstTouch, true,
                    {"620710ba8ab1e1d9", "766b04978e2d60fa", "a54cddddc27070df",
                     "ac227d1035cd27d2", "94db4bfba4429a55", "f267e4476b89583a",
-                    "d6e9b388396c890c"}}),
+                    "d6e9b388396c890c"},
+                   {"3ef00ba4ddaf8bbd", "a38e4276b84b92f9", "165608eca38b3d15",
+                    "8d5ee1fe413262ba", "3f644ab87c662299", "9910bcc1b3ce4781",
+                    "a4a0e693188d239f"}}),
     [](const ::testing::TestParamInfo<DigestCase> &info) {
         return std::string(info.param.label);
     });

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <vector>
+
 #include "net/torus.hh"
 
 namespace {
@@ -130,6 +135,106 @@ TEST(Torus, MeanHopsUniformAcrossNodes)
     for (unsigned n = 1; n < 16; ++n)
         EXPECT_DOUBLE_EQ(t.meanHops(n), m0);
     EXPECT_NEAR(m0, 2.133, 0.01); // 32/15
+}
+
+/** Signed shortest offset from a to b on a ring of size n. */
+int
+ringDelta(unsigned a, unsigned b, unsigned n)
+{
+    int fwd = static_cast<int>((b + n - a) % n);
+    int bwd = fwd - static_cast<int>(n);
+    return fwd <= -bwd ? fwd : bwd;
+}
+
+/**
+ * The torus model as it was before its route tables: ring arithmetic
+ * per query and a dimension-order walk per message.  The oracle for
+ * TablesMatchDimensionOrderWalkOnEveryPair.
+ */
+struct RingWalk
+{
+    unsigned w, h;
+
+    unsigned
+    hops(unsigned a, unsigned b) const
+    {
+        return static_cast<unsigned>(
+                   std::abs(ringDelta(a % w, b % w, w))) +
+               static_cast<unsigned>(
+                   std::abs(ringDelta(a / w, b / w, h)));
+    }
+
+    ccp::Cycles
+    latency(unsigned from, unsigned to) const
+    {
+        const TorusParams p;
+        if (from == to)
+            return p.localLatency;
+        double total = 0.0;
+        for (unsigned n = 0; n < w * h; ++n)
+            total += hops(0, n);
+        double mean = w * h > 1 ? total / (w * h - 1) : 1.0;
+        double net = static_cast<double>(p.remoteLatency - p.localLatency);
+        return p.localLatency +
+               static_cast<ccp::Cycles>(
+                   std::llround(net * (hops(from, to) / mean)));
+    }
+
+    /** Add @p bytes to every link of the X-Y route into @p links. */
+    void
+    send(unsigned from, unsigned to, unsigned bytes,
+         std::vector<std::uint64_t> &links) const
+    {
+        unsigned x = from % w, y = from / w;
+        int dx = ringDelta(x, to % w, w);
+        while (dx != 0) {
+            links[(y * w + x) * 4 + (dx > 0 ? 0 : 1)] += bytes;
+            x = (x + w + (dx > 0 ? 1 : w - 1)) % w;
+            dx += dx > 0 ? -1 : 1;
+        }
+        int dy = ringDelta(y, to / w, h);
+        while (dy != 0) {
+            links[(y * w + x) * 4 + (dy > 0 ? 2 : 3)] += bytes;
+            y = (y + h + (dy > 0 ? 1 : h - 1)) % h;
+            dy += dy > 0 ? -1 : 1;
+        }
+    }
+};
+
+TEST(Torus, TablesMatchDimensionOrderWalkOnEveryPair)
+{
+    const unsigned shapes[][2] = {{1, 1}, {1, 4}, {4, 4}, {2, 8}, {8, 8}};
+    for (const auto &shape : shapes) {
+        const RingWalk ref{shape[0], shape[1]};
+        Torus2D t(ref.w, ref.h);
+        const unsigned n = t.nodes();
+        for (unsigned from = 0; from < n; ++from) {
+            for (unsigned to = 0; to < n; ++to) {
+                SCOPED_TRACE(::testing::Message()
+                             << ref.w << "x" << ref.h << " " << from
+                             << "->" << to);
+                ASSERT_EQ(t.hops(from, to), ref.hops(from, to));
+                ASSERT_EQ(t.latency(from, to), ref.latency(from, to));
+
+                std::vector<std::uint64_t> links(n * 4, 0);
+                ref.send(from, to, 72, links);
+                t.clearTraffic();
+                ASSERT_EQ(t.sendMessage(from, to, 72), ref.hops(from, to));
+                ASSERT_EQ(t.linkBytes(), links);
+                ASSERT_EQ(t.totalByteHops(), 72u * ref.hops(from, to));
+                ASSERT_EQ(t.totalMessages(), 1u);
+            }
+        }
+    }
+}
+
+TEST(Torus, TableLookupsRejectOutOfRangeNodes)
+{
+    Torus2D t(2, 2);
+    EXPECT_DEATH(t.hops(4, 0), "node out of range");
+    EXPECT_DEATH(t.hops(0, 4), "node out of range");
+    EXPECT_DEATH(t.latency(4, 0), "node out of range");
+    EXPECT_DEATH(t.sendMessage(0, 4, 8), "node out of range");
 }
 
 } // namespace
