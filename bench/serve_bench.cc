@@ -383,6 +383,10 @@ main(int argc, char **argv)
         root.findLatency("serve.ingest_to_predict_ns");
     const double p50 = lat ? lat->p50() : 0.0;
     const double p99 = lat ? lat->p99() : 0.0;
+    // The wait/service split: queue wait is the part of p50/p99 spent
+    // before an agent's drain reached the event.
+    const LogHistogram *wait = root.findLatency("serve.queue_wait_ns");
+    const Summary *busy = root.findSummary("serve.agent_busy_frac");
     const std::uint64_t snapshots =
         root.findCounter("serve.snapshots")
             ? root.findCounter("serve.snapshots")->value
@@ -417,6 +421,9 @@ main(int argc, char **argv)
     serve_j["events_per_sec"] = obs::Json(serve_eps);
     serve_j["p50_ns"] = obs::Json(p50);
     serve_j["p99_ns"] = obs::Json(p99);
+    serve_j["queue_wait_p50_ns"] = obs::Json(wait ? wait->p50() : 0.0);
+    serve_j["queue_wait_p99_ns"] = obs::Json(wait ? wait->p99() : 0.0);
+    serve_j["agent_busy_frac"] = obs::Json(busy ? busy->mean() : 0.0);
     serve_j["backpressure"] = obs::Json(server.backpressure());
     serve_j["responses_received"] = obs::Json(received_total);
     serve_j["responses_dropped"] =

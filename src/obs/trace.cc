@@ -37,6 +37,14 @@ namespace {
 
 thread_local Tracer::ThreadBuf *tls_buf = nullptr;
 
+/** Per-thread record capacity under @p opts (0 = the default). */
+std::size_t
+bufferCapacity(const Tracer::Options &opts)
+{
+    return opts.bufferRecords ? opts.bufferRecords
+                              : (std::size_t(1) << 16);
+}
+
 /** ThreadPool instrumentation (common/thread_pool.hh hooks): the pool
  *  itself cannot depend on obs, so the tracer installs these when
  *  enabled.  Chunk spans are live; idle waits are recorded
@@ -107,10 +115,8 @@ Tracer::threadBuf()
         return tls_buf;
     std::lock_guard<std::mutex> lock(mutex_);
     unsigned tid = static_cast<unsigned>(buffers_.size());
-    std::size_t cap = opts_.bufferRecords
-                          ? opts_.bufferRecords
-                          : (std::size_t(1) << 16);
-    buffers_.push_back(std::make_unique<ThreadBuf>(tid, cap));
+    buffers_.push_back(
+        std::make_unique<ThreadBuf>(tid, bufferCapacity(opts_)));
     tls_buf = buffers_.back().get();
     return tls_buf;
 }
@@ -121,8 +127,10 @@ Tracer::enable(Options opts)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         opts_ = std::move(opts);
+        // A buffer made under an earlier enable() keeps its thread
+        // but takes this run's capacity.
         for (auto &buf : buffers_)
-            buf->clear();
+            buf->reset(bufferCapacity(opts_));
     }
     perfSampling_.store(opts_.perfCounters,
                         std::memory_order_relaxed);

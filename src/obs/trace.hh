@@ -141,9 +141,13 @@ class Tracer
             return dropped_.load(std::memory_order_relaxed);
         }
 
+        /** Drop every record and hold @p capacity records from now
+         *  on (no recording may be in flight on the owner thread). */
         void
-        clear()
+        reset(std::size_t capacity)
         {
+            if (records_.size() != capacity)
+                records_.assign(capacity, Record{});
             size_.store(0, std::memory_order_relaxed);
             dropped_.store(0, std::memory_order_relaxed);
             open_ = 0;
@@ -175,7 +179,8 @@ class Tracer
         return perfSampling_.load(std::memory_order_relaxed);
     }
 
-    /** Start recording (clears any previously recorded spans). */
+    /** Start recording (clears any previously recorded spans and
+     *  gives every thread's buffer the new bufferRecords). */
     void enable(Options opts);
 
     /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -191,7 +192,10 @@ PredictServer::submit(unsigned session, const trace::CoherenceEvent &ev)
         backpressure_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
-    shard.submitted.fetch_add(1, std::memory_order_relaxed);
+    // Single writer (this session's producer): no locked add.
+    shard.submitted.store(
+        shard.submitted.load(std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
     return true;
 }
 
@@ -200,14 +204,8 @@ PredictServer::pollPredictions(unsigned session,
                                std::vector<Prediction> &out,
                                std::size_t max)
 {
-    Shard &shard = *shards_[session];
-    std::size_t n = 0;
-    Prediction p;
-    while (n < max && shard.out.pop(p)) {
-        out.push_back(p);
-        ++n;
-    }
-    return n;
+    return shards_[session]->out.consume(
+        max, [&out](const Prediction &p) { out.push_back(p); });
 }
 
 SessionStats
@@ -238,41 +236,57 @@ PredictServer::responsesDropped() const
 }
 
 std::size_t
-PredictServer::drainShard(Shard &shard, unsigned)
+PredictServer::drainShard(Shard &shard, AgentStats &stats)
 {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    Ingest item;
-    if (!shard.in.pop(item))
+    std::optional<obs::TraceSpan> span;
+    std::uint64_t start = 0;
+    std::uint64_t now = 0;
+    std::size_t dropped = 0;
+    const std::size_t served =
+        shard.in.consume(drainBurst, [&](const Ingest &item) {
+            if (!span) {
+                // The drain starts at its first item: one clock read
+                // stamps every event's queue wait.
+                span.emplace("serve", "serve.drain");
+                start = nowNs();
+            }
+            stats.queueWait.add(
+                start > item.enqueueNs ? start - item.enqueueNs : 0);
+            Prediction p;
+            p.seq = shard.session.eventsProcessed();
+            p.predicted = shard.session.onEvent(item.ev);
+            now = nowNs();
+            stats.ingestToPredict.add(
+                now > item.enqueueNs ? now - item.enqueueNs : 0);
+            if (!shard.out.push(p))
+                ++dropped;
+        });
+    if (served == 0)
         return 0;
-    CCP_TRACE_SPAN("serve", "serve.drain");
-    auto &reg = obs::StatsRegistry::current();
-    std::size_t served = 0;
-    do {
-        Prediction p;
-        p.seq = shard.session.eventsProcessed();
-        p.predicted = shard.session.onEvent(item.ev);
-        const std::uint64_t now = nowNs();
-        reg.latency("serve.ingest_to_predict_ns")
-            .add(now > item.enqueueNs ? now - item.enqueueNs : 0);
-        if (!shard.out.push(p)) {
-            responsesDropped_.fetch_add(1,
-                                        std::memory_order_relaxed);
-            ++reg.counter("serve.responses_dropped");
-        }
-        ++served;
-    } while (served < drainBurst && shard.in.pop(item));
-    reg.counter("serve.events_served") += served;
+    stats.busyNs += now - start;
+    stats.served += served;
+    if (dropped > 0) {
+        responsesDropped_.fetch_add(dropped, std::memory_order_relaxed);
+        stats.dropped += dropped;
+    }
     return served;
 }
 
 void
 PredictServer::agentLoop(unsigned agent)
 {
-    obs::ScopedRegistry scoped(agentRegs_[agent]);
+    obs::StatsRegistry &reg = agentRegs_[agent];
+    obs::ScopedRegistry scoped(reg);
+    AgentStats stats{reg.latency("serve.ingest_to_predict_ns"),
+                     reg.latency("serve.queue_wait_ns"),
+                     reg.counter("serve.events_served"),
+                     reg.counter("serve.responses_dropped")};
+    const std::uint64_t begin = nowNs();
     for (;;) {
         std::size_t served = 0;
         for (unsigned s = agent; s < nSessions_; s += nAgents_)
-            served += drainShard(*shards_[s], agent);
+            served += drainShard(*shards_[s], stats);
         if (agent == 0)
             maybeSnapshot();
         if (served > 0)
@@ -288,6 +302,11 @@ PredictServer::agentLoop(unsigned agent)
         }
         std::this_thread::yield();
     }
+    const std::uint64_t run = nowNs() - begin;
+    reg.summary("serve.agent_busy_frac")
+        .add(run > 0 ? static_cast<double>(stats.busyNs) /
+                           static_cast<double>(run)
+                     : 0.0);
 }
 
 void

@@ -177,13 +177,26 @@ class PredictServer
         SpscRing<Prediction> out;
         Session session;
         mutable std::mutex mutex;
+        /** Written by the session's producer only; read anywhere. */
         std::atomic<std::uint64_t> submitted{0};
+    };
+
+    /** One agent's stats, resolved once per agentLoop so no drain
+     *  looks a registry path up. */
+    struct AgentStats
+    {
+        LogHistogram &ingestToPredict;
+        LogHistogram &queueWait;
+        obs::StatsRegistry::Counter &served;
+        obs::StatsRegistry::Counter &dropped;
+        /** Summed drain time (first item to last prediction). */
+        std::uint64_t busyNs = 0;
     };
 
     void agentLoop(unsigned agent);
 
     /** Drain up to one burst from @p shard; @return events served. */
-    std::size_t drainShard(Shard &shard, unsigned agent);
+    std::size_t drainShard(Shard &shard, AgentStats &stats);
 
     void maybeSnapshot();
 

@@ -10,6 +10,15 @@
  * Head and tail live on separate cache lines so the producer and the
  * consumer never false-share.
  *
+ * Each side also keeps a private copy of the other side's index on
+ * its own index line: the producer re-reads head_ only when its copy
+ * says the ring is full, and the consumer re-reads tail_ only when
+ * its copy shows too few items.  In steady streaming the index lines
+ * then move between cores once per burst, not once per item — the
+ * producer-consumer coherence traffic the predictors of this project
+ * learn.  consume() serves a whole burst and releases its slots with
+ * one head_ store.
+ *
  * Capacity is rounded up to a power of two; one slot is sacrificed to
  * distinguish full from empty, the classic ring discipline.
  */
@@ -17,6 +26,7 @@
 #ifndef CCP_SERVE_SPSC_HH
 #define CCP_SERVE_SPSC_HH
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -50,8 +60,11 @@ class SpscRing
         const std::size_t tail =
             tail_.load(std::memory_order_relaxed);
         const std::size_t next = (tail + 1) & mask_;
-        if (next == head_.load(std::memory_order_acquire))
-            return false;
+        if (next == headCache_) {
+            headCache_ = head_.load(std::memory_order_acquire);
+            if (next == headCache_)
+                return false;
+        }
         slots_[tail] = value;
         tail_.store(next, std::memory_order_release);
         return true;
@@ -61,13 +74,33 @@ class SpscRing
     bool
     pop(T &out)
     {
+        return consume(1, [&out](T &v) { out = v; }) == 1;
+    }
+
+    /**
+     * Consumer only: hand up to @p max visible items to @p fn (called
+     * as fn(T &), oldest first), then release all their slots with
+     * one store.  The producer's index is re-read only when the
+     * cached copy shows fewer than @p max items.  @p fn must not
+     * touch this ring.  @return the number of items consumed.
+     */
+    template <typename Fn>
+    std::size_t
+    consume(std::size_t max, Fn &&fn)
+    {
         const std::size_t head =
             head_.load(std::memory_order_relaxed);
-        if (head == tail_.load(std::memory_order_acquire))
-            return false;
-        out = slots_[head];
-        head_.store((head + 1) & mask_, std::memory_order_release);
-        return true;
+        std::size_t avail = (tailCache_ - head) & mask_;
+        if (avail < max) {
+            tailCache_ = tail_.load(std::memory_order_acquire);
+            avail = (tailCache_ - head) & mask_;
+        }
+        const std::size_t n = std::min(avail, max);
+        for (std::size_t i = 0; i < n; ++i)
+            fn(slots_[(head + i) & mask_]);
+        if (n > 0)
+            head_.store((head + n) & mask_, std::memory_order_release);
+        return n;
     }
 
     /** Either side: true when no item is visible (racy by nature —
@@ -93,8 +126,12 @@ class SpscRing
   private:
     std::vector<T> slots_;
     const std::size_t mask_;
+    /** Consumer's line: its index and its copy of the producer's. */
     alignas(64) std::atomic<std::size_t> head_{0};
+    std::size_t tailCache_ = 0;
+    /** Producer's line: its index and its copy of the consumer's. */
     alignas(64) std::atomic<std::size_t> tail_{0};
+    std::size_t headCache_ = 0;
 };
 
 } // namespace ccp::serve

@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/registry.hh"
 #include "predict/evaluator.hh"
 #include "serve/server.hh"
 #include "serve/session.hh"
@@ -173,6 +174,108 @@ TEST(SpscRing, ConcurrentProducerConsumerDeliversEverythingInOrder)
         }
         ASSERT_EQ(v, next);
         ++next;
+    }
+    producer.join();
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRing, ConsumeKeepsOrderAcrossWrapAround)
+{
+    SpscRing<int> ring(8); // capacity 7
+    int next_in = 0;
+    int next_out = 0;
+    // Each round leaves the ring partly full, so the consumed runs
+    // straddle the end of the slot array many times over.
+    for (int round = 0; round < 20; ++round) {
+        while (ring.push(next_in))
+            ++next_in;
+        const std::size_t n =
+            ring.consume(5, [&next_out](int v) {
+                EXPECT_EQ(v, next_out);
+                ++next_out;
+            });
+        EXPECT_EQ(n, 5u);
+    }
+    ring.consume(~std::size_t(0), [&next_out](int v) {
+        EXPECT_EQ(v, next_out);
+        ++next_out;
+    });
+    EXPECT_EQ(next_out, next_in);
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRing, ConsumeStopsAtMaxAndReturnsZeroWhenEmpty)
+{
+    SpscRing<int> ring(16);
+    std::vector<int> got;
+    auto take = [&got](int v) { got.push_back(v); };
+    EXPECT_EQ(ring.consume(4, take), 0u);
+    for (int i = 0; i < 10; ++i)
+        ASSERT_TRUE(ring.push(i));
+    EXPECT_EQ(ring.consume(4, take), 4u);
+    EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(ring.size(), 6u);
+    EXPECT_EQ(ring.consume(0, take), 0u);
+    EXPECT_EQ(ring.consume(100, take), 6u);
+    EXPECT_EQ(got.size(), 10u);
+    EXPECT_EQ(got.back(), 9);
+    EXPECT_EQ(ring.consume(100, take), 0u);
+    int v = -1;
+    EXPECT_FALSE(ring.pop(v));
+}
+
+/** A full ring's producer holds a stale copy of the consumer's index:
+ *  push must refresh it and admit exactly the slots consume() gave
+ *  back, no more. */
+TEST(SpscRing, FullRingAcceptsExactlyTheSlotsConsumeReleased)
+{
+    SpscRing<int> ring(8); // capacity 7
+    int next_in = 0;
+    while (ring.push(next_in))
+        ++next_in;
+    EXPECT_EQ(next_in, 7);
+    EXPECT_FALSE(ring.push(next_in)) << "still full";
+    int next_out = 0;
+    auto check = [&next_out](int v) {
+        EXPECT_EQ(v, next_out);
+        ++next_out;
+    };
+    EXPECT_EQ(ring.consume(3, check), 3u);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_TRUE(ring.push(next_in++)) << "released slot " << i;
+    EXPECT_FALSE(ring.push(next_in)) << "only 3 slots were released";
+    EXPECT_EQ(ring.consume(1, check), 1u);
+    EXPECT_TRUE(ring.push(next_in++));
+    EXPECT_FALSE(ring.push(next_in));
+    EXPECT_EQ(ring.consume(~std::size_t(0), check), 7u);
+    EXPECT_EQ(next_out, next_in);
+}
+
+/** The same contract driven by consume(): bursts of varying length
+ *  release slots in one store each (a TSan race check as well). */
+TEST(SpscRing, ConcurrentConsumeDeliversEverythingInOrder)
+{
+    constexpr std::uint64_t kItems = 200000;
+    SpscRing<std::uint64_t> ring(8);
+    std::thread producer([&ring] {
+        for (std::uint64_t i = 0; i < kItems; ++i)
+            while (!ring.push(i))
+                std::this_thread::yield();
+    });
+    std::uint64_t next = 0;
+    bool in_order = true;
+    std::size_t max = 1;
+    while (next < kItems) {
+        const std::size_t n =
+            ring.consume(max, [&](std::uint64_t v) {
+                in_order = in_order && v == next;
+                ++next;
+            });
+        ASSERT_TRUE(in_order) << "out of order before item " << next;
+        ASSERT_LE(n, max);
+        max = max % 5 + 1;
+        if (n == 0)
+            std::this_thread::yield();
     }
     producer.join();
     EXPECT_TRUE(ring.empty());
@@ -509,6 +612,46 @@ TEST(PredictServer, StatsAreMonotoneWhileServing)
     server.stop();
     EXPECT_EQ(server.stats(0).events, events.size());
     EXPECT_EQ(server.submitted(0), events.size());
+}
+
+/** The wait/service split: every served event has one queue-wait
+ *  sample, no larger than its ingest-to-predict latency, and each
+ *  agent reports one busy fraction in [0, 1]. */
+TEST(PredictServer, QueueWaitCoversEveryServedEventAndBusyIsAFraction)
+{
+    const SessionConfig cfg = makeConfig("inter(pid+pc4)2", 64);
+    const auto streams = makeStreams(3);
+    obs::StatsRegistry reg;
+    obs::ScopedRegistry route(reg);
+    ServeOptions opts;
+    opts.session = cfg;
+    opts.nNodes = kNodes;
+    opts.sessions = 3;
+    opts.agents = 2;
+    opts.ringCapacity = 64;
+    PredictServer server(opts);
+    ASSERT_TRUE(server.start());
+    driveServer(server, streams);
+    server.stop();
+
+    std::uint64_t events = 0;
+    for (const auto &s : streams)
+        events += s.events().size();
+    const auto *served = reg.findCounter("serve.events_served");
+    const auto *wait = reg.findLatency("serve.queue_wait_ns");
+    const auto *total = reg.findLatency("serve.ingest_to_predict_ns");
+    const auto *busy = reg.findSummary("serve.agent_busy_frac");
+    ASSERT_NE(served, nullptr);
+    ASSERT_NE(wait, nullptr);
+    ASSERT_NE(total, nullptr);
+    ASSERT_NE(busy, nullptr);
+    EXPECT_EQ(served->value, events);
+    EXPECT_EQ(wait->count(), served->value);
+    EXPECT_EQ(total->count(), served->value);
+    EXPECT_LE(wait->mean(), total->mean());
+    EXPECT_EQ(busy->count(), 2u) << "one sample per agent";
+    EXPECT_GE(busy->min(), 0.0);
+    EXPECT_LE(busy->max(), 1.0);
 }
 
 // ---------------------------------------------------------------------

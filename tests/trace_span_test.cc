@@ -227,6 +227,29 @@ TEST(TraceSpan, AdmissionReservesRoomForOpenSpanEnds)
     EXPECT_EQ(v.droppedSpans, 1u);
 }
 
+TEST(TraceSpan, ReenableAppliesTheNewBufferCapacity)
+{
+    // The first enable sizes this thread's buffer; a later enable
+    // with a smaller capacity must bound it, not keep the old size.
+    enableTracer(1 << 12);
+    {
+        TraceSpan span("test", "test.roomy");
+    }
+    enableTracer(8);
+    for (int i = 0; i < 6; ++i) {
+        TraceSpan span("test", "test.tight");
+        (void)span;
+    }
+    std::string text = Tracer::instance().serialize();
+    Tracer::instance().disable();
+
+    ValidatedTrace v;
+    validateTrace(text, v);
+    EXPECT_EQ(v.begins["test.roomy"], 0u);
+    EXPECT_EQ(v.begins["test.tight"], 4u);
+    EXPECT_EQ(v.droppedSpans, 2u);
+}
+
 TEST(TraceSpan, SerializeClosesSpansStillOpen)
 {
     enableTracer();
