@@ -9,12 +9,14 @@
  *
  *   inline   one thread stepping M sessions sequentially — the
  *            no-pipeline oracle, and the ground truth the served
- *            per-session confusion counts must match exactly;
+ *            per-session confusion counts must match exactly; timed
+ *            as the fastest of 5 identical passes;
  *   serve    the full submit -> SPSC ring -> agent -> response
  *            pipeline at the requested agent count.
  *
  * Writes BENCH_serve.json (events/sec for both paths, their ratio,
- * and the server-side ingest-to-predict p50/p99 latency) for
+ * and the server-side ingest-to-predict p50/p99 latency over one
+ * event in meta.latency_sample_every) for
  * tools/bench_compare, which gates `pipeline_ratio` against the
  * committed baseline.  Stdout is a deterministic per-session stats
  * table (no timings), so CI can `cmp` runs at different agent counts;
@@ -264,21 +266,34 @@ main(int argc, char **argv)
         total_events += stream_len[c];
     }
 
-    // ---- Inline oracle: one thread, M sessions, no pipeline. ----
+    // ---- Inline oracle: one thread, M sessions, no pipeline.  One
+    // pass is ~10-30 ms at CCP_SCALE=0.05, so the rate is the fastest
+    // of inlinePasses; the stats come from the first pass and every
+    // later pass must reproduce them. ----
+    constexpr int inlinePasses = 5;
     std::vector<serve::SessionStats> inline_stats;
-    auto t0 = std::chrono::steady_clock::now();
-    {
+    double inline_sec = 0.0;
+    for (int pass = 0; pass < inlinePasses; ++pass) {
         std::vector<serve::Session> sessions;
         sessions.reserve(args.clients);
         for (unsigned c = 0; c < args.clients; ++c)
             sessions.emplace_back(c, session_cfg, n_nodes);
+        const auto t0 = std::chrono::steady_clock::now();
         for (unsigned c = 0; c < args.clients; ++c)
             for (std::uint64_t i = 0; i < stream_len[c]; ++i)
                 sessions[c].onEvent((*streams[c])[i]);
-        for (const auto &s : sessions)
-            inline_stats.push_back(s.stats());
+        const double sec = elapsedSec(t0);
+        if (pass == 0 || sec < inline_sec)
+            inline_sec = sec;
+        for (unsigned c = 0; c < args.clients; ++c) {
+            const serve::SessionStats s = sessions[c].stats();
+            if (pass == 0)
+                inline_stats.push_back(s);
+            else if (s != inline_stats[c])
+                ccp_fatal("inline pass ", pass, " of session ", c,
+                          " differs from the first pass");
+        }
     }
-    const double inline_sec = elapsedSec(t0);
 
     // ---- Served pipeline. ----
     serve::ServeOptions opts;
@@ -301,7 +316,7 @@ main(int argc, char **argv)
     }
 
     std::vector<std::uint64_t> received(args.clients, 0);
-    t0 = std::chrono::steady_clock::now();
+    const auto t0 = std::chrono::steady_clock::now();
     if (!server.start())
         ccp_fatal("server failed to start");
     {
@@ -346,17 +361,10 @@ main(int argc, char **argv)
 
     // ---- Correctness: served state must equal the inline oracle
     // (same events, same order, same update rule). ----
-    auto sameConfusion = [](const predict::Confusion &a,
-                            const predict::Confusion &b) {
-        return a.tp == b.tp && a.fp == b.fp && a.tn == b.tn &&
-               a.fn == b.fn;
-    };
     for (unsigned c = 0; !args.resume && c < args.clients; ++c) {
         serve::SessionStats got = server.stats(c);
         const serve::SessionStats &want = inline_stats[c];
-        if (got.events != want.events ||
-            !sameConfusion(got.total, want.total) ||
-            !sameConfusion(got.window, want.window))
+        if (got != want)
             ccp_fatal("served session ", c,
                       " diverged from the inline oracle (events ",
                       got.events, " vs ", want.events, ")");
@@ -413,6 +421,10 @@ main(int argc, char **argv)
     meta["window_events"] =
         obs::Json(std::uint64_t(session_cfg.windowEvents));
     meta["ring_capacity"] = obs::Json(std::uint64_t(args.ring));
+    // serve.p50_ns/p99_ns and the queue-wait quantiles are over one
+    // event in this many.
+    meta["latency_sample_every"] =
+        obs::Json(std::uint64_t(serve::latencySampleEvery));
     doc["meta"] = std::move(meta);
 
     obs::Json serve_j = obs::Json::object();

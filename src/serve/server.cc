@@ -177,6 +177,9 @@ PredictServer::stop()
         parent_->merge(reg);
         reg.clear();
     }
+    // One sample per run, so a merged report still reads the period.
+    parent_->summary("serve.latency_sample_every")
+        .add(latencySampleEvery);
 }
 
 bool
@@ -185,17 +188,20 @@ PredictServer::submit(unsigned session, const trace::CoherenceEvent &ev)
     if (!accepting_.load(std::memory_order_acquire))
         return false;
     Shard &shard = *shards_[session];
+    // Single writer (this session's producer): no locked add.  The
+    // count moves only on success, so a refused submit and its retry
+    // make the same sampling choice.
+    const std::uint64_t n =
+        shard.submitted.load(std::memory_order_relaxed);
     Ingest item;
     item.ev = ev;
-    item.enqueueNs = nowNs();
+    if (n % latencySampleEvery == 0)
+        item.enqueueNs = nowNs();
     if (!shard.in.push(item)) {
         backpressure_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
-    // Single writer (this session's producer): no locked add.
-    shard.submitted.store(
-        shard.submitted.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
+    shard.submitted.store(n + 1, std::memory_order_relaxed);
     return true;
 }
 
@@ -241,30 +247,30 @@ PredictServer::drainShard(Shard &shard, AgentStats &stats)
     std::lock_guard<std::mutex> lock(shard.mutex);
     std::optional<obs::TraceSpan> span;
     std::uint64_t start = 0;
-    std::uint64_t now = 0;
     std::size_t dropped = 0;
     const std::size_t served =
         shard.in.consume(drainBurst, [&](const Ingest &item) {
             if (!span) {
                 // The drain starts at its first item: one clock read
-                // stamps every event's queue wait.
+                // stamps every sampled event's queue wait.
                 span.emplace("serve", "serve.drain");
                 start = nowNs();
             }
-            stats.queueWait.add(
-                start > item.enqueueNs ? start - item.enqueueNs : 0);
             Prediction p;
             p.seq = shard.session.eventsProcessed();
             p.predicted = shard.session.onEvent(item.ev);
-            now = nowNs();
-            stats.ingestToPredict.add(
-                now > item.enqueueNs ? now - item.enqueueNs : 0);
+            if (item.enqueueNs != 0) {
+                const std::uint64_t now = nowNs();
+                const std::uint64_t enq = item.enqueueNs;
+                stats.queueWait.add(start > enq ? start - enq : 0);
+                stats.ingestToPredict.add(now > enq ? now - enq : 0);
+            }
             if (!shard.out.push(p))
                 ++dropped;
         });
     if (served == 0)
         return 0;
-    stats.busyNs += now - start;
+    stats.busyNs += nowNs() - start;
     stats.served += served;
     if (dropped > 0) {
         responsesDropped_.fetch_add(dropped, std::memory_order_relaxed);

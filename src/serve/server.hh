@@ -19,8 +19,9 @@
  *  - submit() is wait-free for the producer (one SPSC push); a full
  *    ring is backpressure, reported to the caller and counted.
  *  - Rolling screening stats per session (sliding-window PVP /
- *    sensitivity) and an ingest-to-predict latency LogHistogram
- *    (p50/p99) merged into the caller's StatsRegistry at stop().
+ *    sensitivity) and ingest-to-predict / queue-wait latency
+ *    LogHistograms (p50/p99, over one event in latencySampleEvery)
+ *    merged into the caller's StatsRegistry at stop().
  *  - Periodic + final snapshots go through the CCPS state-blob
  *    container (sweep/checkpoint.hh): validated header, whole-file
  *    checksum, fsync-durable atomic writes.  restore() before start()
@@ -153,13 +154,17 @@ class PredictServer
     std::uint64_t snapshotKey() const;
 
   private:
-    /** Ingest ring payload: the event plus its enqueue timestamp so
-     *  agents measure true ingest-to-predict latency. */
+    /** Ingest ring payload: the event plus its enqueue timestamp, set
+     *  on one event in latencySampleEvery (0 = not sampled), so agents
+     *  measure ingest-to-predict latency on a sample. */
     struct Ingest
     {
         trace::CoherenceEvent ev;
         std::uint64_t enqueueNs = 0;
     };
+    // The ring's stride: a larger slot moves perfbench serve_stream's
+    // heap layout (docs/OBSERVABILITY.md).
+    static_assert(sizeof(Ingest) == 72, "ingest slot is 72 bytes");
 
     /** Everything one session owns, cache-line separated per shard:
      *  rings for its producer/consumer, the predictor, a mutex
@@ -189,7 +194,7 @@ class PredictServer
         LogHistogram &queueWait;
         obs::StatsRegistry::Counter &served;
         obs::StatsRegistry::Counter &dropped;
-        /** Summed drain time (first item to last prediction). */
+        /** Summed drain time (first item to the end of the burst). */
         std::uint64_t busyNs = 0;
     };
 
@@ -226,6 +231,14 @@ class PredictServer
     /** Serializes whole-file snapshot writes (agent 0 vs callers). */
     std::mutex snapshotMutex_;
 };
+
+/**
+ * One event in this many carries a submit timestamp, chosen by the
+ * session's submit ordinal (0, 64, 128, ...); only those events feed
+ * serve.queue_wait_ns and serve.ingest_to_predict_ns.  Exported as
+ * serve.latency_sample_every at every stop().
+ */
+constexpr unsigned latencySampleEvery = 64;
 
 /** Monotonic nanoseconds (steady clock; latency timestamps). */
 std::uint64_t nowNs();

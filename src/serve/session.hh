@@ -52,6 +52,8 @@ struct SessionStats
     predict::Confusion total;
     /** Confusion over the last windowEvents events only. */
     predict::Confusion window;
+
+    bool operator==(const SessionStats &) const = default;
 };
 
 class Session

@@ -614,9 +614,18 @@ TEST(PredictServer, StatsAreMonotoneWhileServing)
     EXPECT_EQ(server.submitted(0), events.size());
 }
 
-/** The wait/service split: every served event has one queue-wait
- *  sample, no larger than its ingest-to-predict latency, and each
- *  agent reports one busy fraction in [0, 1]. */
+/** Sampled latency stamps: both latency stats hold exactly the
+ *  events at submit ordinals 0, 64, 128, ... of each session. */
+std::uint64_t
+sampledEvents(std::uint64_t submitted)
+{
+    return (submitted + serve::latencySampleEvery - 1) /
+           serve::latencySampleEvery;
+}
+
+/** The wait/service split: one queue-wait sample per sampled event,
+ *  no larger on average than ingest-to-predict, and each agent
+ *  reports one busy fraction in [0, 1]. */
 TEST(PredictServer, QueueWaitCoversEveryServedEventAndBusyIsAFraction)
 {
     const SessionConfig cfg = makeConfig("inter(pid+pc4)2", 64);
@@ -635,23 +644,81 @@ TEST(PredictServer, QueueWaitCoversEveryServedEventAndBusyIsAFraction)
     server.stop();
 
     std::uint64_t events = 0;
-    for (const auto &s : streams)
+    std::uint64_t sampled = 0;
+    for (const auto &s : streams) {
         events += s.events().size();
+        sampled += sampledEvents(s.events().size());
+    }
     const auto *served = reg.findCounter("serve.events_served");
     const auto *wait = reg.findLatency("serve.queue_wait_ns");
     const auto *total = reg.findLatency("serve.ingest_to_predict_ns");
     const auto *busy = reg.findSummary("serve.agent_busy_frac");
+    const auto *every = reg.findSummary("serve.latency_sample_every");
     ASSERT_NE(served, nullptr);
     ASSERT_NE(wait, nullptr);
     ASSERT_NE(total, nullptr);
     ASSERT_NE(busy, nullptr);
+    ASSERT_NE(every, nullptr);
     EXPECT_EQ(served->value, events);
-    EXPECT_EQ(wait->count(), served->value);
-    EXPECT_EQ(total->count(), served->value);
+    EXPECT_EQ(wait->count(), sampled);
+    EXPECT_EQ(total->count(), sampled);
     EXPECT_LE(wait->mean(), total->mean());
+    EXPECT_EQ(every->count(), 1u) << "one sample per start/stop";
+    EXPECT_EQ(every->mean(), serve::latencySampleEvery);
     EXPECT_EQ(busy->count(), 2u) << "one sample per agent";
     EXPECT_GE(busy->min(), 0.0);
     EXPECT_LE(busy->max(), 1.0);
+}
+
+/** A refused submit moves no count, so its retry makes the same
+ *  sampling choice: a sampled ordinal refused for a full ring is
+ *  still sampled exactly once. */
+TEST(PredictServer, RingFullRetryNeitherSkipsNorDuplicatesASample)
+{
+    const SessionConfig cfg = makeConfig("inter(pid+pc4)2", 64);
+    const auto streams = makeStreams(1);
+    const auto &events = streams[0].events();
+    obs::StatsRegistry reg;
+    obs::ScopedRegistry route(reg);
+    ServeOptions opts;
+    opts.session = cfg;
+    opts.nNodes = kNodes;
+    opts.sessions = 1;
+    opts.agents = 1;
+    opts.ringCapacity = 4; // fills after three submits
+    PredictServer server(opts);
+    ASSERT_TRUE(server.start());
+
+    // Replay the stream until some sampled ordinal has been refused,
+    // polling responses only now and then (most of them drop).
+    std::uint64_t n = 0;
+    std::uint64_t sampled_refused = 0;
+    std::vector<Prediction> preds;
+    while (n < 8 * serve::latencySampleEvery ||
+           (sampled_refused == 0 && n < (1u << 20))) {
+        bool refused = false;
+        while (!server.submit(0, events[n % events.size()])) {
+            refused = true;
+            std::this_thread::yield();
+        }
+        if (refused && n % serve::latencySampleEvery == 0)
+            ++sampled_refused;
+        if (++n % 50 == 0) {
+            preds.clear();
+            server.pollPredictions(0, preds, 4);
+        }
+    }
+    server.stop();
+
+    ASSERT_GT(sampled_refused, 0u) << "no sampled submit was refused";
+    EXPECT_EQ(server.submitted(0), n);
+    EXPECT_EQ(server.stats(0).events, n);
+    const auto *wait = reg.findLatency("serve.queue_wait_ns");
+    const auto *total = reg.findLatency("serve.ingest_to_predict_ns");
+    ASSERT_NE(wait, nullptr);
+    ASSERT_NE(total, nullptr);
+    EXPECT_EQ(wait->count(), sampledEvents(n));
+    EXPECT_EQ(total->count(), sampledEvents(n));
 }
 
 // ---------------------------------------------------------------------
@@ -756,6 +823,54 @@ TEST_F(ServerSnapshotTest, KilledMidStreamRestoresByteIdentical)
         EXPECT_TRUE(sameConfusion(got.total, want.total)) << c;
         EXPECT_TRUE(sameConfusion(got.window, want.window)) << c;
     }
+}
+
+/** Sampling follows the revived server's own submit count, not the
+ *  restored sessions' event count: the first event submitted after
+ *  restore() is sampled. */
+TEST_F(ServerSnapshotTest, SamplingCountsFromTheFirstSubmitAfterRestore)
+{
+    const SessionConfig cfg = makeConfig("inter(pid+pc4)2", 32);
+    const auto streams = makeStreams(3);
+    // 200 restored events: by session count the second half would
+    // sample ordinals 256, 320, 384 (3); by submit count, 4.
+    const std::size_t cut = 200;
+
+    ServeOptions opts;
+    opts.session = cfg;
+    opts.nNodes = kNodes;
+    opts.sessions = 3;
+    opts.agents = 2;
+    opts.snapshotPath = snapPath();
+    opts.snapshotIntervalSec = 0;
+    {
+        PredictServer server(opts);
+        ASSERT_TRUE(server.start());
+        driveServer(server, streams, 0, cut);
+        server.stop();
+    }
+
+    obs::StatsRegistry reg;
+    obs::ScopedRegistry route(reg);
+    PredictServer revived(opts);
+    ASSERT_EQ(revived.restore(), sweep::CheckpointLoad::Ok);
+    ASSERT_TRUE(revived.start());
+    driveServer(revived, streams, cut);
+    revived.stop();
+
+    std::uint64_t sampled = 0;
+    for (unsigned c = 0; c < streams.size(); ++c) {
+        const std::uint64_t rest = streams[c].events().size() - cut;
+        EXPECT_EQ(revived.submitted(c), rest) << c;
+        EXPECT_EQ(revived.stats(c).events, cut + rest) << c;
+        sampled += sampledEvents(rest);
+    }
+    const auto *wait = reg.findLatency("serve.queue_wait_ns");
+    const auto *total = reg.findLatency("serve.ingest_to_predict_ns");
+    ASSERT_NE(wait, nullptr);
+    ASSERT_NE(total, nullptr);
+    EXPECT_EQ(wait->count(), sampled);
+    EXPECT_EQ(total->count(), sampled);
 }
 
 TEST_F(ServerSnapshotTest, PerceptronRestoresByteIdenticalAtAnyAgentCount)

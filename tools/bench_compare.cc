@@ -12,7 +12,9 @@
  *                 [--max-regress 0.10] [--absolute] [--archive <dir>]
  *
  * The record kind is read from meta.kind (absent = "sweep", the
- * original record layout); baseline and current must agree.  Sweep
+ * original record layout); baseline and current must agree, and two
+ * serve records must also agree on meta.clients, agents, scheme,
+ * window_events and ring_capacity.  Sweep
  * records gate the kernel speedups and the learned families' rates
  * (below); serve records gate
  * pipeline_ratio (served vs inline events/s on the same machine —
@@ -52,7 +54,8 @@
  * stamped from its own metadata (date + git SHA), building the history
  * the absolute mode can be pointed at.
  *
- * Exit codes: 0 pass, 1 regression (or malformed records), 2 usage.
+ * Exit codes: 0 pass, 1 regression (or malformed or mismatched
+ * records), 2 usage.
  */
 
 #include <cmath>
@@ -223,6 +226,16 @@ metaString(const Json &doc, const char *key, const char *fallback)
     return fallback;
 }
 
+/** doc.meta[key] as JSON text; "missing" when absent. */
+std::string
+metaText(const Json &doc, const char *key)
+{
+    if (const Json *meta = doc.find("meta"))
+        if (const Json *v = meta->find(key))
+            return v->dump();
+    return "missing";
+}
+
 /** Archive the current record as BENCH_<kind>_<date>_<sha12>.json. */
 bool
 archive(const Json &doc, const std::string &raw,
@@ -351,6 +364,26 @@ main(int argc, char **argv)
         return checks.back();
     };
     if (cur_kind == "serve") {
+        // pipeline_ratio moves with the serving config (agents,
+        // clients, rings...), so a record of another config is a
+        // setup error, not a regression.
+        bool same_config = true;
+        for (const char *key : {"clients", "agents", "scheme",
+                                "window_events", "ring_capacity"}) {
+            const std::string b = metaText(*base, key);
+            const std::string c = metaText(*cur, key);
+            if (b == c)
+                continue;
+            std::fprintf(stderr,
+                         "bench_compare: serve config mismatch: "
+                         "meta.%s is %s in the baseline but %s in the "
+                         "current record\n",
+                         key, b.c_str(), c.c_str());
+            same_config = false;
+        }
+        if (!same_config)
+            return 1;
+
         // The host-portable gate: how much of the inline (no-pipeline)
         // throughput the served path keeps on the same machine.
         pushCheck("pipeline_ratio (served/inline)",
