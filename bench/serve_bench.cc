@@ -5,14 +5,18 @@
  * Replays the cached benchmark suite as M concurrent clients against
  * a PredictServer: each client thread streams one trace's events
  * through submit() (spinning on backpressure) while draining its
- * response ring.  Two measurements come out:
+ * response ring.  Two legs are timed, in 7 alternating pairs in one
+ * process (one served pass with --snapshot):
  *
  *   inline   one thread stepping M sessions sequentially — the
  *            no-pipeline oracle, and the ground truth the served
- *            per-session confusion counts must match exactly; timed
- *            as the fastest of 5 identical passes;
+ *            per-session confusion counts must match exactly;
  *   serve    the full submit -> SPSC ring -> agent -> response
- *            pipeline at the requested agent count.
+ *            pipeline at the requested agent count, on a fresh server
+ *            per pass.
+ *
+ * Each leg's seconds is its median pass; pipeline_ratio is the median
+ * of the per-pair served/inline throughput ratios.
  *
  * Writes BENCH_serve.json (events/sec for both paths, their ratio,
  * and the server-side ingest-to-predict p50/p99 latency over one
@@ -37,6 +41,7 @@
  *   --log L                log level
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -221,6 +226,17 @@ parseArgs(int argc, char **argv)
     return args;
 }
 
+/** Inline/served timing pairs per run (odd, so the median is one
+ *  pair's ratio). */
+constexpr int timingPairs = 7;
+
+double
+median(std::vector<double> v)
+{
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+}
+
 double
 elapsedSec(std::chrono::steady_clock::time_point t0)
 {
@@ -252,13 +268,12 @@ main(int argc, char **argv)
     const unsigned n_nodes = suite.front().nNodes();
 
     // Client i replays trace i mod |suite| (optionally truncated).
-    std::vector<const std::vector<trace::CoherenceEvent> *> streams;
+    std::vector<std::span<const trace::CoherenceEvent>> streams;
     std::vector<std::uint64_t> stream_len(args.clients);
     std::uint64_t total_events = 0;
     for (unsigned c = 0; c < args.clients; ++c) {
-        const auto &events = suite[c % suite.size()].events();
-        streams.push_back(&events);
-        stream_len[c] = events.size();
+        streams.push_back(suite[c % suite.size()].events());
+        stream_len[c] = streams[c].size();
         if (args.eventsPerClient > 0)
             stream_len[c] =
                 std::min<std::uint64_t>(stream_len[c],
@@ -266,14 +281,11 @@ main(int argc, char **argv)
         total_events += stream_len[c];
     }
 
-    // ---- Inline oracle: one thread, M sessions, no pipeline.  One
-    // pass is ~10-30 ms at CCP_SCALE=0.05, so the rate is the fastest
-    // of inlinePasses; the stats come from the first pass and every
-    // later pass must reproduce them. ----
-    constexpr int inlinePasses = 5;
+    // ---- Inline oracle: one thread, M sessions, no pipeline.  The
+    // stats come from the first pass; every later pass must reproduce
+    // them. ----
     std::vector<serve::SessionStats> inline_stats;
-    double inline_sec = 0.0;
-    for (int pass = 0; pass < inlinePasses; ++pass) {
+    auto inline_pass = [&] {
         std::vector<serve::Session> sessions;
         sessions.reserve(args.clients);
         for (unsigned c = 0; c < args.clients; ++c)
@@ -281,21 +293,21 @@ main(int argc, char **argv)
         const auto t0 = std::chrono::steady_clock::now();
         for (unsigned c = 0; c < args.clients; ++c)
             for (std::uint64_t i = 0; i < stream_len[c]; ++i)
-                sessions[c].onEvent((*streams[c])[i]);
+                sessions[c].onEvent(streams[c][i]);
         const double sec = elapsedSec(t0);
-        if (pass == 0 || sec < inline_sec)
-            inline_sec = sec;
+        const bool first = inline_stats.empty();
         for (unsigned c = 0; c < args.clients; ++c) {
             const serve::SessionStats s = sessions[c].stats();
-            if (pass == 0)
+            if (first)
                 inline_stats.push_back(s);
             else if (s != inline_stats[c])
-                ccp_fatal("inline pass ", pass, " of session ", c,
-                          " differs from the first pass");
+                ccp_fatal("inline session ", c,
+                          " differs from the first inline pass");
         }
-    }
+        return sec;
+    };
 
-    // ---- Served pipeline. ----
+    // ---- Served pipeline: a fresh server per pass. ----
     serve::ServeOptions opts;
     opts.session = session_cfg;
     opts.nNodes = n_nodes;
@@ -304,71 +316,108 @@ main(int argc, char **argv)
     opts.ringCapacity = args.ring;
     opts.snapshotPath = args.snapshotPath;
     opts.snapshotIntervalSec = args.snapshotIntervalSec;
-    serve::PredictServer server(opts);
-    if (args.resume) {
-        auto status = server.restore();
-        std::fprintf(stderr, "[serve] restore: %s\n",
-                     sweep::checkpointLoadName(status));
-        if (status == sweep::CheckpointLoad::Invalid ||
-            status == sweep::CheckpointLoad::KeyMismatch ||
-            status == sweep::CheckpointLoad::UnsupportedKind)
-            return 1;
-    }
-
-    std::vector<std::uint64_t> received(args.clients, 0);
-    const auto t0 = std::chrono::steady_clock::now();
-    if (!server.start())
-        ccp_fatal("server failed to start");
+    struct Served
     {
-        std::vector<std::thread> clients;
-        clients.reserve(args.clients);
-        for (unsigned c = 0; c < args.clients; ++c) {
-            clients.emplace_back([&, c] {
-                std::vector<serve::Prediction> preds;
-                preds.reserve(256);
-                for (std::uint64_t i = 0; i < stream_len[c]; ++i) {
-                    while (!server.submit(c, (*streams[c])[i]))
-                        std::this_thread::yield();
-                    if ((i & 63) == 0) {
-                        preds.clear();
-                        received[c] +=
-                            server.pollPredictions(c, preds, 256);
-                    }
-                }
-                // Drain what the agents have served so far; stop()
-                // finishes the rest (drops are counted, not lost
-                // silently).
-                std::size_t n;
-                do {
-                    preds.clear();
-                    n = server.pollPredictions(c, preds, 256);
-                    received[c] += n;
-                } while (n > 0);
-            });
+        double sec = 0.0;
+        unsigned agents = 0;
+        std::uint64_t received = 0;
+        std::uint64_t dropped = 0;
+        std::uint64_t backpressure = 0;
+    };
+    auto served_pass = [&] {
+        Served out;
+        serve::PredictServer server(opts);
+        if (args.resume) {
+            auto status = server.restore();
+            std::fprintf(stderr, "[serve] restore: %s\n",
+                         sweep::checkpointLoadName(status));
+            if (status == sweep::CheckpointLoad::Invalid ||
+                status == sweep::CheckpointLoad::KeyMismatch ||
+                status == sweep::CheckpointLoad::UnsupportedKind)
+                std::exit(1);
         }
-        for (auto &t : clients)
-            t.join();
-    }
-    server.stop();
-    const double serve_sec = elapsedSec(t0);
-    std::uint64_t received_total = 0;
-    for (unsigned c = 0; c < args.clients; ++c) {
-        std::vector<serve::Prediction> preds;
-        received_total +=
-            server.pollPredictions(c, preds, ~std::size_t(0));
-        received_total += received[c];
-    }
+        std::vector<std::uint64_t> received(args.clients, 0);
+        const auto t0 = std::chrono::steady_clock::now();
+        if (!server.start())
+            ccp_fatal("server failed to start");
+        {
+            std::vector<std::thread> clients;
+            clients.reserve(args.clients);
+            for (unsigned c = 0; c < args.clients; ++c) {
+                clients.emplace_back([&, c] {
+                    std::vector<serve::Prediction> preds;
+                    preds.reserve(256);
+                    for (std::uint64_t i = 0; i < stream_len[c]; ++i) {
+                        while (!server.submit(c, streams[c][i]))
+                            std::this_thread::yield();
+                        if ((i & 63) == 0) {
+                            preds.clear();
+                            received[c] +=
+                                server.pollPredictions(c, preds, 256);
+                        }
+                    }
+                    // Drain what the agents have served so far;
+                    // stop() finishes the rest (drops are counted, not
+                    // lost silently).
+                    std::size_t n;
+                    do {
+                        preds.clear();
+                        n = server.pollPredictions(c, preds, 256);
+                        received[c] += n;
+                    } while (n > 0);
+                });
+            }
+            for (auto &t : clients)
+                t.join();
+        }
+        server.stop();
+        out.sec = elapsedSec(t0);
+        for (unsigned c = 0; c < args.clients; ++c) {
+            std::vector<serve::Prediction> preds;
+            out.received +=
+                server.pollPredictions(c, preds, ~std::size_t(0));
+            out.received += received[c];
+        }
+        // Correctness: served state must equal the inline oracle
+        // (same events, same order, same update rule).
+        for (unsigned c = 0; !args.resume && c < args.clients; ++c) {
+            serve::SessionStats got = server.stats(c);
+            const serve::SessionStats &want = inline_stats[c];
+            if (got != want)
+                ccp_fatal("served session ", c,
+                          " diverged from the inline oracle (events ",
+                          got.events, " vs ", want.events, ")");
+        }
+        out.agents = server.agents();
+        out.dropped = server.responsesDropped();
+        out.backpressure = server.backpressure();
+        return out;
+    };
 
-    // ---- Correctness: served state must equal the inline oracle
-    // (same events, same order, same update rule). ----
-    for (unsigned c = 0; !args.resume && c < args.clients; ++c) {
-        serve::SessionStats got = server.stats(c);
-        const serve::SessionStats &want = inline_stats[c];
-        if (got != want)
-            ccp_fatal("served session ", c,
-                      " diverged from the inline oracle (events ",
-                      got.events, " vs ", want.events, ")");
+    // ---- Timing: inline and served passes in alternating pairs.  A
+    // process's legs drift together (one pass is only ~10-40 ms at
+    // CCP_SCALE=0.05), so each pair's ratio is steadier than either
+    // leg, and the gated ratio is the median over the pairs.  Odd
+    // pairs run the served leg first.  A snapshot run is a durability
+    // check, so it serves once. ----
+    const int pairs = args.snapshotPath.empty() ? timingPairs : 1;
+    std::vector<double> inline_secs, serve_secs, ratios;
+    Served served;
+    for (int pair = 0; pair < pairs; ++pair) {
+        double inline_sec = 0.0;
+        if (pair % 2 == 0)
+            inline_sec = inline_pass();
+        served = served_pass();
+        if (pair % 2 == 1)
+            inline_sec = inline_pass();
+        inline_secs.push_back(inline_sec);
+        serve_secs.push_back(served.sec);
+        ratios.push_back(served.sec > 0 ? inline_sec / served.sec : 0.0);
     }
+    const double inline_sec = median(inline_secs);
+    const double serve_sec = median(serve_secs);
+    const double pipeline_ratio = median(ratios);
+    const std::uint64_t received_total = served.received;
 
     // Deterministic stdout: per-session screening stats, no timings,
     // so runs at different agent counts must compare byte-identical.
@@ -415,7 +464,7 @@ main(int argc, char **argv)
     meta["date_utc"] = obs::Json(isoUtcNow());
     meta["cpu_model"] = obs::Json(cpuModel());
     meta["clients"] = obs::Json(args.clients);
-    meta["agents"] = obs::Json(server.agents());
+    meta["agents"] = obs::Json(served.agents);
     meta["scheme"] = obs::Json(sweep::formatScheme(
         session_cfg.scheme, session_cfg.mode));
     meta["window_events"] =
@@ -425,6 +474,8 @@ main(int argc, char **argv)
     // event in this many.
     meta["latency_sample_every"] =
         obs::Json(std::uint64_t(serve::latencySampleEvery));
+    // pipeline_ratio is the median over this many inline/served pairs.
+    meta["timing_pairs"] = obs::Json(std::uint64_t(pairs));
     doc["meta"] = std::move(meta);
 
     obs::Json serve_j = obs::Json::object();
@@ -436,10 +487,9 @@ main(int argc, char **argv)
     serve_j["queue_wait_p50_ns"] = obs::Json(wait ? wait->p50() : 0.0);
     serve_j["queue_wait_p99_ns"] = obs::Json(wait ? wait->p99() : 0.0);
     serve_j["agent_busy_frac"] = obs::Json(busy ? busy->mean() : 0.0);
-    serve_j["backpressure"] = obs::Json(server.backpressure());
+    serve_j["backpressure"] = obs::Json(served.backpressure);
     serve_j["responses_received"] = obs::Json(received_total);
-    serve_j["responses_dropped"] =
-        obs::Json(server.responsesDropped());
+    serve_j["responses_dropped"] = obs::Json(served.dropped);
     serve_j["snapshots"] = obs::Json(snapshots);
     doc["serve"] = std::move(serve_j);
 
@@ -449,8 +499,7 @@ main(int argc, char **argv)
     inline_j["events_per_sec"] = obs::Json(inline_eps);
     doc["inline"] = std::move(inline_j);
 
-    doc["pipeline_ratio"] = obs::Json(
-        inline_eps > 0 ? serve_eps / inline_eps : 0.0);
+    doc["pipeline_ratio"] = obs::Json(pipeline_ratio);
 
     std::ofstream os(args.outPath, std::ios::binary);
     os << doc.dump(2) << "\n";
@@ -467,7 +516,6 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(total_events),
                  inline_sec, inline_eps / 1e6, serve_sec,
                  serve_eps / 1e6,
-                 inline_eps > 0 ? serve_eps / inline_eps : 0.0, p50,
-                 p99, server.agents());
+                 pipeline_ratio, p50, p99, served.agents);
     return 0;
 }

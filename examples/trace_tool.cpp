@@ -212,7 +212,8 @@ cmdAnalyze(int argc, char **argv)
  *   2  usage error
  *   3  file missing or unreadable
  *   4  bad header (magic/version/bounds) or file size mismatch
- *   5  checksum mismatch (container shape fine, contents corrupt)
+ *   5  contents corrupt: checksum mismatch, or an event record that
+ *      breaks the per-event byte rule
  */
 int
 cmdVerify(int argc, char **argv)
@@ -274,6 +275,29 @@ cmdVerify(int argc, char **argv)
                      (unsigned long long)header.checksum,
                      (unsigned long long)sum.digest());
         return 5;
+    }
+
+    // The per-event byte rule both loaders apply (format.hh).
+    is.clear();
+    is.seekg(static_cast<std::streamoff>(trace::traceEventOffset));
+    constexpr std::size_t per_read = sizeof(buf) / sizeof(trace::PackedEvent);
+    for (std::uint64_t left = header.eventCount; left > 0;) {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(left, per_read));
+        if (!is.read(buf, static_cast<std::streamsize>(
+                              n * sizeof(trace::PackedEvent)))) {
+            std::fprintf(stderr, "%s: event read failed\n", path);
+            return 4;
+        }
+        if (!trace::validEventFlags(
+                reinterpret_cast<const unsigned char *>(buf), n)) {
+            std::fprintf(stderr,
+                         "%s: an event record's hasPrevWriter byte is "
+                         "not 0/1 or its pad bytes are not zero\n",
+                         path);
+            return 5;
+        }
+        left -= n;
     }
 
     // Cross-check the two production read paths against each other;

@@ -147,7 +147,7 @@ CoherenceController::recordReader(DirectoryEntry &dir, NodeId node)
         return;
     dir.readersSinceExclusive.set(node);
     if (dir.pendingEvent != trace::noEvent)
-        trace_->events()[dir.pendingEvent].readers.set(node);
+        trace_->mutableEvents()[dir.pendingEvent].readers.set(node);
 }
 
 void

@@ -162,8 +162,9 @@ class PredictServer
         trace::CoherenceEvent ev;
         std::uint64_t enqueueNs = 0;
     };
-    // The ring's stride: a larger slot moves perfbench serve_stream's
-    // heap layout (docs/OBSERVABILITY.md).
+    // The ring's stride: one 64-byte event plus its stamp, so every
+    // slot spans two cache lines.  A change here changes every ring's
+    // allocation; measure serve_stream before and after.
     static_assert(sizeof(Ingest) == 72, "ingest slot is 72 bytes");
 
     /** Everything one session owns, cache-line separated per shard:

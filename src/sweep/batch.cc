@@ -358,7 +358,7 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
     Tally *const tallies = tallies_.data();
     const std::size_t n_schemes = tallies_.size();
     std::uint64_t *const outs = outs_.data();
-    const std::vector<trace::CoherenceEvent> &events = trace.events();
+    const std::span<const trace::CoherenceEvent> events = trace.events();
     const std::size_t n_events = events.size();
     if (n_events == 0)
         return;

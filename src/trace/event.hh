@@ -34,13 +34,13 @@ inline constexpr EventSeq noEvent =
  * readers of the value written by this event, known only in hindsight
  * (trace finalization fills it in, matching the paper's use of a first
  * pass plus final memory state to simulate ordered update).
+ *
+ * The fields are in the order of the on-disk v4 record (PackedEvent in
+ * trace/format.hh, which asserts the two layouts agree), so a loaded
+ * trace's events are the verified file mapping itself.
  */
 struct CoherenceEvent
 {
-    /** Writer node issuing the store. */
-    NodeId pid = 0;
-    /** Home (directory) node of the block. */
-    NodeId dir = 0;
     /** Static store instruction of the writer. */
     Pc pc = 0;
     /** Block number (byte address >> blockShift). */
@@ -62,13 +62,17 @@ struct CoherenceEvent
     /** Static store pc of the previous writer (valid if
      *  hasPrevWriter). */
     Pc prevWriterPc = 0;
+    /** Sequence number of the previous event on this block. */
+    EventSeq prevEvent = noEvent;
+
+    /** Writer node issuing the store. */
+    NodeId pid = 0;
+    /** Home (directory) node of the block. */
+    NodeId dir = 0;
     /** Previous writer node (valid if hasPrevWriter). */
     NodeId prevWriterPid = 0;
     /** False for the first write ever observed on this block. */
     bool hasPrevWriter = false;
-
-    /** Sequence number of the previous event on this block. */
-    EventSeq prevEvent = noEvent;
 };
 
 } // namespace ccp::trace

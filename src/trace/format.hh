@@ -13,7 +13,8 @@
  * Every event is a fixed 64-byte PackedEvent record, so the payload
  * size is fully determined by the header and a loader can reject a
  * truncated or oversized file *before* allocating anything, and a
- * memory-mapped loader can walk the records in place.  The name is
+ * memory-mapped loader can serve the records in place as the trace's
+ * events.  The name is
  * stored last so the meta block and event array stay 8-byte aligned at
  * fixed offsets.
  */
@@ -173,6 +174,58 @@ static_assert(sizeof(PackedEvent) == 64, "event record must stay 64 B");
 static_assert(alignof(PackedEvent) == 8);
 static_assert(std::is_trivially_copyable_v<PackedEvent>);
 
+// A mapped trace's events are its file's records (SharingTrace::
+// loadFileMapped), so the in-memory event must have the record's
+// layout, field for field.
+static_assert(sizeof(CoherenceEvent) == sizeof(PackedEvent));
+static_assert(std::is_trivially_copyable_v<CoherenceEvent>);
+static_assert(std::is_standard_layout_v<CoherenceEvent>);
+static_assert(offsetof(CoherenceEvent, pc) == offsetof(PackedEvent, pc));
+static_assert(offsetof(CoherenceEvent, block) ==
+              offsetof(PackedEvent, block));
+static_assert(offsetof(CoherenceEvent, invalidated) ==
+              offsetof(PackedEvent, invalidated));
+static_assert(offsetof(CoherenceEvent, readers) ==
+              offsetof(PackedEvent, readers));
+static_assert(offsetof(CoherenceEvent, prevWriterPc) ==
+              offsetof(PackedEvent, prevWriterPc));
+static_assert(offsetof(CoherenceEvent, prevEvent) ==
+              offsetof(PackedEvent, prevEvent));
+static_assert(offsetof(CoherenceEvent, pid) == offsetof(PackedEvent, pid));
+static_assert(offsetof(CoherenceEvent, dir) == offsetof(PackedEvent, dir));
+static_assert(offsetof(CoherenceEvent, prevWriterPid) ==
+              offsetof(PackedEvent, prevWriterPid));
+static_assert(offsetof(CoherenceEvent, hasPrevWriter) ==
+              offsetof(PackedEvent, hasPrevWriter));
+static_assert(sizeof(SharingBitmap) == sizeof(std::uint64_t));
+static_assert(sizeof(bool) == 1);
+
+/**
+ * The per-event byte rule both loaders apply to @p n consecutive
+ * 64-byte records at @p records: every hasPrevWriter byte is 0 or 1
+ * and the three pad bytes after it are zero.  A mapped trace reads
+ * that byte as a bool, where any other value is undefined behaviour,
+ * so a record that breaks the rule is rejected like a checksum
+ * mismatch.  Little-endian: the byte and its pad read as one u32 that
+ * must be at most 1.
+ */
+inline bool
+validEventFlags(const unsigned char *records, std::size_t n)
+{
+    std::uint32_t bad = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        std::uint32_t w;
+        std::memcpy(&w,
+                    records + k * sizeof(PackedEvent) +
+                        offsetof(PackedEvent, hasPrevWriter),
+                    sizeof(w));
+        bad |= w >> 1;
+    }
+    return bad == 0;
+}
+
+/** Field by field, so the pad bytes are zero: a CoherenceEvent's own
+ *  padding is indeterminate, so its raw bytes are never written. */
 inline PackedEvent
 packEvent(const CoherenceEvent &ev)
 {
@@ -188,23 +241,6 @@ packEvent(const CoherenceEvent &ev)
     p.prevWriterPid = ev.prevWriterPid;
     p.hasPrevWriter = ev.hasPrevWriter ? 1 : 0;
     return p;
-}
-
-inline CoherenceEvent
-unpackEvent(const PackedEvent &p)
-{
-    CoherenceEvent ev;
-    ev.pc = p.pc;
-    ev.block = p.block;
-    ev.invalidated = SharingBitmap(p.invalidated);
-    ev.readers = SharingBitmap(p.readers);
-    ev.prevWriterPc = p.prevWriterPc;
-    ev.prevEvent = p.prevEvent;
-    ev.pid = p.pid;
-    ev.dir = p.dir;
-    ev.prevWriterPid = p.prevWriterPid;
-    ev.hasPrevWriter = p.hasPrevWriter != 0;
-    return ev;
 }
 
 /** The meta block: TraceMeta as an explicitly ordered u64 array, so
@@ -247,6 +283,14 @@ unpackMeta(const PackedMeta &w)
 inline constexpr std::uint64_t traceMetaBytes =
     traceMetaWords * sizeof(std::uint64_t);
 inline constexpr std::uint64_t traceEventBytes = sizeof(PackedEvent);
+
+/** File offset of the first event record: the mapped loader points
+ *  its events there, so it must suit the event's alignment (the
+ *  mapping itself is page-aligned). */
+inline constexpr std::uint64_t traceEventOffset =
+    sizeof(TraceHeader) + traceMetaBytes;
+static_assert(traceEventOffset == 168);
+static_assert(traceEventOffset % alignof(CoherenceEvent) == 0);
 
 /** Hard cap on the event count field: anything above this cannot be a
  *  real trace and is rejected before size arithmetic. */

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <utility>
@@ -72,10 +73,62 @@ remainingBytes(std::istream &is)
 
 } // namespace
 
+SharingTrace::SharingTrace(const SharingTrace &other)
+    : name_(other.name_), nNodes_(other.nNodes_), meta_(other.meta_),
+      keeper_(other.keeper_), events_(other.events_)
+{
+    // A mapping is read-only, so copies share it; an owned vector is
+    // writable, so each copy gets its own.
+    if (other.owned_)
+        ownEvents();
+}
+
+SharingTrace::SharingTrace(SharingTrace &&other) noexcept
+    : name_(std::move(other.name_)), nNodes_(other.nNodes_),
+      meta_(other.meta_), keeper_(std::move(other.keeper_)),
+      owned_(std::exchange(other.owned_, nullptr)),
+      events_(std::exchange(other.events_, {}))
+{
+}
+
+SharingTrace &
+SharingTrace::operator=(SharingTrace other) noexcept
+{
+    std::swap(name_, other.name_);
+    std::swap(nNodes_, other.nNodes_);
+    std::swap(meta_, other.meta_);
+    std::swap(keeper_, other.keeper_);
+    std::swap(owned_, other.owned_);
+    std::swap(events_, other.events_);
+    return *this;
+}
+
+void
+SharingTrace::adopt(std::shared_ptr<const void> keeper,
+                    std::span<const CoherenceEvent> events,
+                    std::vector<CoherenceEvent> *owned)
+{
+    keeper_ = std::move(keeper);
+    events_ = events;
+    owned_ = owned;
+}
+
+void
+SharingTrace::ownEvents()
+{
+    auto v = std::make_shared<std::vector<CoherenceEvent>>(
+        events_.begin(), events_.end());
+    std::vector<CoherenceEvent> *owned = v.get();
+    adopt(std::move(v), *owned, owned);
+}
+
 EventSeq
 SharingTrace::append(const CoherenceEvent &ev)
 {
-    events_.push_back(ev);
+    if (!owned_)
+        ownEvents();
+    owned_->push_back(ev);
+    events_ = *owned_;
     return events_.size() - 1;
 }
 
@@ -185,16 +238,21 @@ SharingTrace::load(std::istream &is)
                        ? h.eventCount
                        : std::min<std::uint64_t>(h.eventCount,
                                                  eventChunk));
-    std::vector<PackedEvent> buf;
-    buf.resize(std::min<std::uint64_t>(h.eventCount, eventChunk));
+    // The records are the events' layout (format.hh), so each chunk
+    // is read straight into the vector, then checked.
     for (std::uint64_t left = h.eventCount; left > 0;) {
         const std::size_t n = static_cast<std::size_t>(
             std::min<std::uint64_t>(left, eventChunk));
-        if (!readBytes(is, buf.data(), n * sizeof(PackedEvent)))
+        const std::size_t at = events.size();
+        events.resize(at + n);
+        auto *bytes = reinterpret_cast<unsigned char *>(events.data() + at);
+        if (!readBytes(is, bytes, n * sizeof(PackedEvent)))
             return false;
-        sum.update(buf.data(), n * sizeof(PackedEvent));
-        for (std::size_t k = 0; k < n; ++k)
-            events.push_back(unpackEvent(buf[k]));
+        sum.update(bytes, n * sizeof(PackedEvent));
+        if (!validEventFlags(bytes, n)) {
+            ccp_warn("trace load: event record with a bad flag byte");
+            return false;
+        }
         left -= n;
     }
 
@@ -212,7 +270,10 @@ SharingTrace::load(std::istream &is)
     name_ = std::move(name);
     nNodes_ = h.nNodes;
     meta_ = unpackMeta(meta_words);
-    events_ = std::move(events);
+    auto owned = std::make_shared<std::vector<CoherenceEvent>>(
+        std::move(events));
+    std::vector<CoherenceEvent> *v = owned.get();
+    adopt(std::move(owned), *v, v);
     return true;
 }
 
@@ -303,16 +364,23 @@ struct ScopedFd
     }
 };
 
-/** RAII mapping of a whole file, read-only. */
+/** RAII mapping of a whole file, read-only; a loaded trace keeps it
+ *  as the storage of its events. */
 struct FileMapping
 {
     const unsigned char *data = nullptr;
     std::uint64_t size = 0;
 
+    FileMapping(const unsigned char *d, std::uint64_t n)
+        : data(d), size(n)
+    {
+    }
+    FileMapping(const FileMapping &) = delete;
+    FileMapping &operator=(const FileMapping &) = delete;
+
     ~FileMapping()
     {
-        if (data)
-            ::munmap(const_cast<unsigned char *>(data), size);
+        ::munmap(const_cast<unsigned char *>(data), size);
     }
 };
 
@@ -346,15 +414,11 @@ SharingTrace::loadMappedImpl(const std::string &path)
     // (ScopedFd closes it at scope exit on every path below too).
     if (map == MAP_FAILED)
         return MapLoad::Unavailable;
-    FileMapping m;
-    m.data = static_cast<const unsigned char *>(map);
-    m.size = size;
-#ifdef MADV_SEQUENTIAL
-    ::madvise(map, size, MADV_SEQUENTIAL);
-#endif
+    auto m = std::make_unique<const FileMapping>(
+        static_cast<const unsigned char *>(map), size);
 
     TraceHeader h;
-    std::memcpy(&h, m.data, sizeof(h));
+    std::memcpy(&h, m->data, sizeof(h));
     if (!validateHeader(h))
         return MapLoad::Invalid;
     // The file must be exactly header + payload: a truncated *or*
@@ -362,31 +426,23 @@ SharingTrace::loadMappedImpl(const std::string &path)
     if (size != sizeof(TraceHeader) + h.payloadBytes)
         return MapLoad::Invalid;
 
-    // Single pass: checksum and unpack interleaved in chunks, so each
-    // mapped page is touched once and stays cache-hot between the two
-    // uses.
-    const unsigned char *payload = m.data + sizeof(TraceHeader);
+    // One pass in chunks: checksum each chunk and apply the byte rule
+    // to its records while they are cache-hot.
+    const unsigned char *payload = m->data + sizeof(TraceHeader);
     Fnv1a sum = checksumSeed(h);
 
     PackedMeta meta_words;
     std::memcpy(meta_words.data(), payload, sizeof(meta_words));
     sum.update(payload, traceMetaBytes);
-    const unsigned char *records = payload + traceMetaBytes;
+    const unsigned char *records = m->data + traceEventOffset;
 
-    std::vector<CoherenceEvent> events;
-    events.reserve(h.eventCount);
+    bool flags_ok = true;
     for (std::uint64_t i = 0; i < h.eventCount;) {
         const std::uint64_t n =
-            std::min<std::uint64_t>(h.eventCount - i, 1024);
-        const unsigned char *chunk =
-            records + i * sizeof(PackedEvent);
+            std::min<std::uint64_t>(h.eventCount - i, eventChunk);
+        const unsigned char *chunk = records + i * sizeof(PackedEvent);
         sum.update(chunk, n * sizeof(PackedEvent));
-        for (std::uint64_t k = 0; k < n; ++k) {
-            PackedEvent p;
-            std::memcpy(&p, chunk + k * sizeof(PackedEvent),
-                        sizeof(p));
-            events.push_back(unpackEvent(p));
-        }
+        flags_ok = validEventFlags(chunk, n) && flags_ok;
         i += n;
     }
 
@@ -397,12 +453,24 @@ SharingTrace::loadMappedImpl(const std::string &path)
         ccp_warn("trace mmap load: checksum mismatch in ", path);
         return MapLoad::Invalid;
     }
+    if (!flags_ok) {
+        ccp_warn("trace mmap load: event record with a bad flag byte in ",
+                 path);
+        return MapLoad::Invalid;
+    }
 
+    // Every check passed: the records are the events (format.hh
+    // asserts the layouts agree), served in place from the mapping.
+    // CoherenceEvent is an implicit-lifetime aggregate, so, as in
+    // storage from malloc, its objects begin life in the mapping.
     name_.assign(reinterpret_cast<const char *>(name_bytes),
                  h.nameBytes);
     nNodes_ = h.nNodes;
     meta_ = unpackMeta(meta_words);
-    events_ = std::move(events);
+    const std::span<const CoherenceEvent> events(
+        reinterpret_cast<const CoherenceEvent *>(records),
+        static_cast<std::size_t>(h.eventCount));
+    adopt(std::shared_ptr<const void>(std::move(m)), events, nullptr);
     return MapLoad::Ok;
 }
 

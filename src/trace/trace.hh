@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,6 +58,15 @@ struct TraceMeta
  * machine processed them).  After generation the trace is *finalized*:
  * every event's outcome bitmap is complete, including readers observed
  * up to the end of the run (the paper's "final state of the memory").
+ *
+ * The events live in one of two places.  A trace loaded through
+ * loadFileMapped() keeps the verified read-only file mapping and serves
+ * its records in place (the v4 record is the in-memory event's layout),
+ * so no event is copied onto the heap; copies share the mapping.  A
+ * generated or stream-loaded trace owns a heap vector, which copies
+ * duplicate.  Every write goes through append() or mutableEvents(),
+ * which first move a mapped trace's events onto the heap, so nothing
+ * ever writes to a mapping.
  */
 class SharingTrace
 {
@@ -66,11 +77,28 @@ class SharingTrace
     {
     }
 
+    SharingTrace(const SharingTrace &other);
+    SharingTrace(SharingTrace &&other) noexcept;
+    SharingTrace &operator=(SharingTrace other) noexcept;
+    ~SharingTrace() = default;
+
     const std::string &name() const { return name_; }
     unsigned nNodes() const { return nNodes_; }
 
-    const std::vector<CoherenceEvent> &events() const { return events_; }
-    std::vector<CoherenceEvent> &events() { return events_; }
+    std::span<const CoherenceEvent> events() const { return events_; }
+
+    /**
+     * The one writable view of the events.  A mapped trace first copies
+     * its events onto the heap (once), so the file mapping stays
+     * read-only.  Valid until the next append().
+     */
+    std::span<CoherenceEvent>
+    mutableEvents()
+    {
+        if (!owned_)
+            ownEvents();
+        return *owned_;
+    }
 
     TraceMeta &meta() { return meta_; }
     const TraceMeta &meta() const { return meta_; }
@@ -132,11 +160,14 @@ class SharingTrace
 
     /**
      * Memory-mapped read path: maps the file read-only, validates the
-     * header against the true file size, checksums the payload, and
-     * unpacks the fixed-width event records in place — no per-event
-     * istream reads.  @return false if mapping is unavailable on this
-     * platform or the file is invalid; the destination trace is left
-     * unchanged on failure.
+     * header against the true file size, checksums the whole file and
+     * applies the per-event byte rule, then keeps the mapping and
+     * serves the event records in place — no event is copied.  The
+     * file must not be edited or truncated while the trace (or a copy)
+     * lives; saveFile() replaces files by rename(), which is safe.
+     * @return false if mapping is unavailable on this platform or the
+     * file is invalid; the destination trace is left unchanged on
+     * failure.
      */
     bool loadFileMapped(const std::string &path);
 
@@ -150,10 +181,21 @@ class SharingTrace
     enum class MapLoad { Ok, Unavailable, Invalid };
     MapLoad loadMappedImpl(const std::string &path);
 
+    /** Give this trace its own heap copy of its events (mutators). */
+    void ownEvents();
+    /** Adopt @p keeper, which keeps @p events alive, as the storage. */
+    void adopt(std::shared_ptr<const void> keeper,
+               std::span<const CoherenceEvent> events,
+               std::vector<CoherenceEvent> *owned);
+
     std::string name_;
     unsigned nNodes_ = 0;
     TraceMeta meta_;
-    std::vector<CoherenceEvent> events_;
+    /** Keeps the events alive: the file mapping or an owned vector. */
+    std::shared_ptr<const void> keeper_;
+    /** The vector keeper_ holds when this trace owns its events. */
+    std::vector<CoherenceEvent> *owned_ = nullptr;
+    std::span<const CoherenceEvent> events_;
 };
 
 } // namespace ccp::trace

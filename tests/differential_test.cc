@@ -366,7 +366,7 @@ ghostWriterTrace(Rng &rng, unsigned n_nodes, std::size_t events)
 {
     SharingTrace tr = randomTrace(rng, n_nodes, events, "ghosts");
     std::size_t i = 0;
-    for (CoherenceEvent &ev : tr.events()) {
+    for (CoherenceEvent &ev : tr.mutableEvents()) {
         if (ev.hasPrevWriter && i++ % 3 == 0) {
             ev.prevWriterPid = static_cast<NodeId>(rng.below(n_nodes));
             ev.prevWriterPc = ghostPc(unsigned(rng.below(32)));

@@ -133,7 +133,7 @@ randomTrace(Rng &rng, unsigned n_nodes, std::size_t events,
     }
     SharingTrace tr = b.take();
     if (cut_in) {
-        for (CoherenceEvent &ev : tr.events()) {
+        for (CoherenceEvent &ev : tr.mutableEvents()) {
             if (!ev.hasPrevWriter) {
                 ev.hasPrevWriter = true;
                 ev.prevWriterPid = static_cast<NodeId>(rng.below(n_nodes));

@@ -329,6 +329,38 @@ TEST(TraceCache, MappedLoadRejectLoopKeepsFdCountStable)
     fs::remove_all(dir);
 }
 
+/**
+ * A mapped trace keeps its mapping but not its descriptor: 100 live
+ * mapped traces (and copies sharing their mappings) hold no fd.
+ */
+TEST(TraceCache, LiveMappedTracesHoldNoDescriptors)
+{
+    const fs::path dir = freshDir("ccp_cache_live_fds");
+    const SharingTrace tr = makeTrace(500);
+    std::vector<std::string> paths;
+    for (int i = 0; i < 4; ++i) {
+        paths.push_back((dir / ("live" + std::to_string(i) + ".trace"))
+                            .string());
+        ASSERT_TRUE(tr.saveFile(paths.back()));
+    }
+    {
+        SharingTrace warm;
+        ASSERT_TRUE(warm.loadFileMapped(paths[0]));
+    }
+    const std::size_t baseline = countOpenFds();
+
+    std::vector<SharingTrace> live(100);
+    for (std::size_t i = 0; i < live.size(); ++i)
+        ASSERT_TRUE(live[i].loadFileMapped(paths[i % paths.size()]));
+    const std::vector<SharingTrace> copies = live;
+    EXPECT_EQ(countOpenFds(), baseline);
+    for (const SharingTrace &t : copies)
+        EXPECT_EQ(t.events().size(), 500u);
+
+    fs::remove_all(dir);
+    EXPECT_EQ(live.back().events()[499].block, 499u);
+}
+
 #endif // __linux__
 
 } // namespace

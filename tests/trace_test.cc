@@ -8,7 +8,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <sstream>
+#include <utility>
 
 #include "trace/format.hh"
 #include "trace/trace.hh"
@@ -410,6 +413,163 @@ TEST(TraceFormatV4, EmptyTraceRoundTripsWithChecksum)
     EXPECT_EQ(back.name(), "empty");
     EXPECT_EQ(back.nNodes(), 4u);
     EXPECT_TRUE(back.events().empty());
+}
+
+// ---------------------------------------------------------------------
+// The per-event byte rule: a hasPrevWriter byte other than 0/1, or a
+// non-zero pad byte, is rejected by both loaders even under a valid
+// checksum.
+
+/** @p bytes with its header checksum recomputed over the new bytes. */
+std::string
+rechecksummed(std::string bytes)
+{
+    trace::TraceHeader h;
+    std::memcpy(&h, bytes.data(), sizeof(h));
+    trace::Fnv1a sum = trace::checksumSeed(h);
+    sum.update(bytes.data() + sizeof(h), bytes.size() - sizeof(h));
+    h.checksum = sum.digest();
+    std::memcpy(bytes.data(), &h, sizeof(h));
+    return bytes;
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(TraceFormatV4, BothLoadersRejectABadFlagOrPadByte)
+{
+    const std::string whole = serialized(sampleTrace());
+    const std::string path =
+        ::testing::TempDir() + "/ccp_trace_flag_byte.trace";
+    const std::size_t flag = offsetof(trace::PackedEvent, hasPrevWriter);
+    for (std::size_t event = 0; event < 3; ++event) {
+        for (std::size_t at = flag; at < flag + 4; ++at) {
+            std::string bad = whole;
+            bad[trace::traceEventOffset + 64 * event + at] =
+                at == flag ? 2 : 1;
+            bad = rechecksummed(bad);
+
+            SharingTrace via_stream = sentinelTrace();
+            EXPECT_FALSE(loadBytes(via_stream, bad))
+                << "event " << event << " byte " << at;
+            expectUnchangedSentinel(via_stream);
+
+            writeFile(path, bad);
+            SharingTrace via_map = sentinelTrace();
+            EXPECT_FALSE(via_map.loadFileMapped(path))
+                << "event " << event << " byte " << at;
+            expectUnchangedSentinel(via_map);
+            SharingTrace via_file = sentinelTrace();
+            EXPECT_FALSE(via_file.loadFile(path));
+            expectUnchangedSentinel(via_file);
+        }
+    }
+    // The rule's own control: re-checksumming an intact file loads.
+    writeFile(path, rechecksummed(whole));
+    SharingTrace ok;
+    EXPECT_TRUE(ok.loadFileMapped(path));
+    EXPECT_TRUE(loadBytes(ok, whole));
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// A mapped trace serves its events from the file mapping: it outlives
+// the file's name, shares the mapping with copies, and never writes
+// to it.
+
+void
+expectSameEvents(const SharingTrace &a, const SharingTrace &b)
+{
+    ASSERT_EQ(a.events().size(), b.events().size());
+    for (std::size_t i = 0; i < a.events().size(); ++i) {
+        const auto pa = trace::packEvent(a.events()[i]);
+        const auto pb = trace::packEvent(b.events()[i]);
+        EXPECT_EQ(std::memcmp(&pa, &pb, sizeof(pa)), 0) << "event " << i;
+    }
+}
+
+TEST(MappedTrace, KeepsItsEventsWhenTheFileIsReplacedOrUnlinked)
+{
+    const SharingTrace original = sampleTrace();
+    const std::string path =
+        ::testing::TempDir() + "/ccp_trace_mapped_replace.trace";
+    ASSERT_TRUE(original.saveFile(path));
+    SharingTrace live;
+    ASSERT_TRUE(live.loadFileMapped(path));
+
+    // saveFile() renames new content over the path: the live trace
+    // keeps the old file's mapping.
+    SharingTrace other("other", 4);
+    for (int i = 0; i < 5; ++i)
+        other.append(makeEvent(1, 0x800 + 4 * i, 500 + i, 0b10));
+    ASSERT_TRUE(other.saveFile(path));
+    EXPECT_EQ(live.name(), "sample");
+    expectSameEvents(live, original);
+
+    std::remove(path.c_str());
+    expectSameEvents(live, original);
+}
+
+TEST(MappedTrace, CopiesOutliveTheOriginalAndMovesEmptyTheSource)
+{
+    const SharingTrace original = sampleTrace();
+    const std::string path =
+        ::testing::TempDir() + "/ccp_trace_mapped_copy.trace";
+    ASSERT_TRUE(original.saveFile(path));
+    auto loaded = std::make_unique<SharingTrace>();
+    ASSERT_TRUE(loaded->loadFileMapped(path));
+    std::remove(path.c_str());
+
+    SharingTrace copy = *loaded;
+    SharingTrace assigned;
+    assigned = *loaded;
+    loaded.reset();
+    expectSameEvents(copy, original);
+    expectSameEvents(assigned, original);
+
+    SharingTrace moved = std::move(copy);
+    expectSameEvents(moved, original);
+    EXPECT_TRUE(copy.events().empty());
+    assigned = std::move(moved);
+    expectSameEvents(assigned, original);
+    EXPECT_TRUE(moved.events().empty());
+}
+
+TEST(MappedTrace, MutationCopiesOutAndLeavesTheFileByteIdentical)
+{
+    const SharingTrace original = sampleTrace();
+    const std::string path =
+        ::testing::TempDir() + "/ccp_trace_mapped_mutate.trace";
+    ASSERT_TRUE(original.saveFile(path));
+    const std::string before = readFile(path);
+
+    SharingTrace edited;
+    ASSERT_TRUE(edited.loadFileMapped(path));
+    const SharingTrace sharer = edited;
+    edited.mutableEvents()[0].readers.set(9);
+    edited.append(makeEvent(4, 0x480, 8, 0b1));
+
+    EXPECT_TRUE(edited.events()[0].readers.test(9));
+    EXPECT_EQ(edited.events().size(), 4u);
+    expectSameEvents(sharer, original);
+    EXPECT_EQ(readFile(path), before);
+
+    SharingTrace reloaded;
+    ASSERT_TRUE(reloaded.loadFileMapped(path));
+    expectSameEvents(reloaded, original);
+    std::remove(path.c_str());
 }
 
 } // namespace

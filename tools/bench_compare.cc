@@ -14,7 +14,7 @@
  * The record kind is read from meta.kind (absent = "sweep", the
  * original record layout); baseline and current must agree, and two
  * serve records must also agree on meta.clients, agents, scheme,
- * window_events and ring_capacity.  Sweep
+ * window_events, ring_capacity and timing_pairs.  Sweep
  * records gate the kernel speedups and the learned families' rates
  * (below); serve records gate
  * pipeline_ratio (served vs inline events/s on the same machine —
@@ -368,8 +368,9 @@ main(int argc, char **argv)
         // clients, rings...), so a record of another config is a
         // setup error, not a regression.
         bool same_config = true;
-        for (const char *key : {"clients", "agents", "scheme",
-                                "window_events", "ring_capacity"}) {
+        for (const char *key :
+             {"clients", "agents", "scheme", "window_events",
+              "ring_capacity", "timing_pairs"}) {
             const std::string b = metaText(*base, key);
             const std::string c = metaText(*cur, key);
             if (b == c)
