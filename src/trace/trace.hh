@@ -80,7 +80,6 @@ class SharingTrace
     SharingTrace(const SharingTrace &other);
     SharingTrace(SharingTrace &&other) noexcept;
     SharingTrace &operator=(SharingTrace other) noexcept;
-    ~SharingTrace() = default;
 
     const std::string &name() const { return name_; }
     unsigned nNodes() const { return nNodes_; }
