@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "analysis/patterns.hh"
 #include "obs/timer.hh"
@@ -202,13 +203,13 @@ cmdAnalyze(int argc, char **argv)
 }
 
 /**
- * Staged verification with distinct exit codes, so scripts (CI
- * checks, batch validators) can act on the failure class without
- * parsing stderr — see docs/TRACE_FORMAT.md "Verification":
+ * Verification with distinct exit codes, so scripts (CI checks, batch
+ * validators) can act on the failure class without parsing stderr —
+ * see docs/TRACE_FORMAT.md "Tooling".  The stages are decodeTrace()'s:
  *
  *   0  valid v4 trace, checksum ok, both read paths agree
  *   1  internal inconsistency (read paths disagree or refuse a file
- *      the staged checks accepted — a library bug, not a bad file)
+ *      the decoder accepted — a library bug, not a bad file)
  *   2  usage error
  *   3  file missing or unreadable
  *   4  bad header (magic/version/bounds) or file size mismatch
@@ -222,82 +223,27 @@ cmdVerify(int argc, char **argv)
         return usage();
     const char *path = argv[2];
 
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        std::fprintf(stderr, "%s: cannot open\n", path);
-        return 3;
-    }
-
-    trace::TraceHeader header;
-    if (!is.read(reinterpret_cast<char *>(&header), sizeof(header))) {
-        std::fprintf(stderr,
-                     "%s: shorter than a v4 header (%zu bytes)\n",
-                     path, sizeof(header));
-        return 4;
-    }
-    if (!trace::validateHeader(header)) {
-        std::fprintf(stderr,
-                     "%s: bad header (magic/version/bounds or "
-                     "inconsistent payload size)\n", path);
-        return 4;
-    }
-    std::error_code ec;
-    const std::uint64_t file_size =
-        std::filesystem::file_size(path, ec);
-    if (ec || file_size != sizeof(header) + header.payloadBytes) {
-        std::fprintf(stderr,
-                     "%s: file is %llu bytes, header promises %llu\n",
-                     path, (unsigned long long)file_size,
-                     (unsigned long long)(sizeof(header) +
-                                          header.payloadBytes));
-        return 4;
-    }
-
-    // Streamed whole-file checksum: header (checksum field zeroed)
-    // then every payload byte, without materializing the trace.
-    trace::Fnv1a sum = trace::checksumSeed(header);
-    char buf[1 << 16];
-    std::uint64_t remaining = header.payloadBytes;
-    while (remaining > 0) {
-        const std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining, sizeof(buf)));
-        if (!is.read(buf, static_cast<std::streamsize>(chunk))) {
-            std::fprintf(stderr, "%s: payload read failed\n", path);
-            return 4;
+    {
+        // The whole file, 8-byte aligned as the decoder requires; freed
+        // before the timed loads below.
+        std::error_code ec;
+        const std::uintmax_t size = std::filesystem::file_size(path, ec);
+        std::ifstream is(path, std::ios::binary);
+        std::vector<std::uint64_t> words(ec ? 0 : (size + 7) / 8);
+        if (ec || !is ||
+            !is.read(reinterpret_cast<char *>(words.data()),
+                     static_cast<std::streamsize>(size))) {
+            std::fprintf(stderr, "%s: cannot open\n", path);
+            return 3;
         }
-        sum.update(buf, chunk);
-        remaining -= chunk;
-    }
-    if (sum.digest() != header.checksum) {
-        std::fprintf(stderr,
-                     "%s: checksum mismatch (stored %016llx, "
-                     "computed %016llx)\n", path,
-                     (unsigned long long)header.checksum,
-                     (unsigned long long)sum.digest());
-        return 5;
-    }
-
-    // The per-event byte rule both loaders apply (format.hh).
-    is.clear();
-    is.seekg(static_cast<std::streamoff>(trace::traceEventOffset));
-    constexpr std::size_t per_read = sizeof(buf) / sizeof(trace::PackedEvent);
-    for (std::uint64_t left = header.eventCount; left > 0;) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(left, per_read));
-        if (!is.read(buf, static_cast<std::streamsize>(
-                              n * sizeof(trace::PackedEvent)))) {
-            std::fprintf(stderr, "%s: event read failed\n", path);
-            return 4;
+        const trace::DecodedTrace decoded = trace::decodeTrace(
+            {reinterpret_cast<const std::byte *>(words.data()), size});
+        if (decoded.reject) {
+            std::fprintf(stderr, "%s: %s\n", path,
+                         trace::traceRejectText(*decoded.reject));
+            // Header and Size are 4, Checksum and Record 5.
+            return *decoded.reject <= trace::TraceReject::Size ? 4 : 5;
         }
-        if (!trace::validEventFlags(
-                reinterpret_cast<const unsigned char *>(buf), n)) {
-            std::fprintf(stderr,
-                         "%s: an event record's hasPrevWriter byte is "
-                         "not 0/1 or its pad bytes are not zero\n",
-                         path);
-            return 5;
-        }
-        left -= n;
     }
 
     // Cross-check the two production read paths against each other;
@@ -320,8 +266,8 @@ cmdVerify(int argc, char **argv)
         via_stream.events().size() != via_map.events().size() ||
         via_stream.nNodes() != via_map.nNodes()) {
         std::fprintf(stderr,
-                     "%s: read paths disagree on a file that passed "
-                     "verification\n", path);
+                     "%s: read paths disagree on a file the decoder "
+                     "accepted\n", path);
         return 1;
     }
     std::printf("trace '%s': %u nodes, %llu events — checksum ok\n",

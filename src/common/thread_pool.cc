@@ -81,19 +81,10 @@ ThreadPool::drainChunks(unsigned worker)
 }
 
 void
-ThreadPool::setWorkerStartHook(std::function<void(unsigned)> hook)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    workerHook_ = std::move(hook);
-    ++workerHookGen_;
-}
-
-void
 ThreadPool::workerLoop(unsigned id)
 {
     // Worker ids 1..n-1; id 0 is the calling thread.
     std::uint64_t seen = 0;
-    std::uint64_t hook_seen = 0;
     for (;;) {
         // Idle gap: reported retroactively at wake through the trace
         // hooks (the parked thread records nothing in between, so the
@@ -101,7 +92,6 @@ ThreadPool::workerLoop(unsigned id)
         const PoolTraceHooks *hooks = poolTraceHooks();
         const std::uint64_t idle_begin =
             hooks ? hooks->nowNs() : 0;
-        std::function<void(unsigned)> start_hook;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             startCv_.wait(lock, [&] {
@@ -110,17 +100,9 @@ ThreadPool::workerLoop(unsigned id)
             if (stop_)
                 return;
             seen = generation_;
-            if (workerHookGen_ != hook_seen) {
-                hook_seen = workerHookGen_;
-                start_hook = workerHook_;
-            }
         }
         if (hooks)
             hooks->idle(idle_begin, hooks->nowNs());
-        // Run any freshly installed start hook outside the lock,
-        // before this worker claims its first chunk of the loop.
-        if (start_hook)
-            start_hook(id);
         drainChunks(id);
         {
             std::lock_guard<std::mutex> lock(mutex_);

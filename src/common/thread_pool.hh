@@ -122,18 +122,6 @@ class ThreadPool
     void forEach(std::size_t nJobs, const JobFn &fn,
                  std::size_t chunk = 0);
 
-    /**
-     * Install a per-worker start hook, invoked as hook(worker) on
-     * each spawned worker thread (ids 1..threads-1) when it next
-     * wakes for a loop, and again after every reinstall.  The NUMA
-     * layer uses this to pin workers to nodes; the hook runs on the
-     * worker thread itself, outside the pool lock, before it claims
-     * any job of the waking loop.  Worker 0 is the calling thread and
-     * is deliberately never touched (its affinity belongs to the
-     * caller).  Pass an empty function to uninstall.
-     */
-    void setWorkerStartHook(std::function<void(unsigned)> hook);
-
   private:
     void workerLoop(unsigned id);
 
@@ -151,11 +139,6 @@ class ThreadPool
     std::uint64_t generation_ = 0;
     /** Workers still inside the current loop. */
     unsigned active_ = 0;
-
-    /** Worker start hook (guarded by mutex_); the generation count
-     *  tells parked workers a new hook awaits them at next wake. */
-    std::function<void(unsigned)> workerHook_;
-    std::uint64_t workerHookGen_ = 0;
 
     /** Current loop (valid while active_ > 0 or the caller drains). */
     const JobFn *fn_ = nullptr;

@@ -8,7 +8,6 @@
 #include <numeric>
 
 #include "common/logging.hh"
-#include "common/numa.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "sweep/batch.hh"
@@ -49,29 +48,6 @@ parseSweepKernel(const std::string &text, SweepKernel &kernel)
 ParallelSweep::ParallelSweep(unsigned threads, SweepKernel kernel)
     : pool_(threads), kernel_(kernel)
 {
-    // NUMA-aware worker placement: with spawned workers on a
-    // multi-node host, pin worker w to node (w-1) % nodes so shards
-    // spread evenly and each worker's batch state — allocated and
-    // first-touched inside its own task — stays node-local.  The
-    // calling thread (worker 0) is never pinned; single-node or
-    // unknown topologies install nothing.
-    if (pool_.threads() > 1) {
-        NumaTopology topo = numaTopology();
-        if (topo.multiNode()) {
-            numaNodesUsed_ = topo.nodes.size();
-            auto shared =
-                std::make_shared<NumaTopology>(std::move(topo));
-            pool_.setWorkerStartHook([shared](unsigned worker) {
-                const auto &nodes = shared->nodes;
-                const NumaNode &node =
-                    nodes[(worker - 1) % nodes.size()];
-                if (!pinCurrentThread(node.cpus))
-                    ccp_warn("NUMA pin of worker ", worker,
-                             " to node ", node.id,
-                             " failed; running unpinned");
-            });
-        }
-    }
 }
 
 std::vector<SuiteResult>

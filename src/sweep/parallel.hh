@@ -62,12 +62,7 @@ class ParallelSweep
 {
   public:
     /** @param threads total workers, caller included; 0 = one per
-     *  hardware thread, 1 = sequential in the calling thread.  On a
-     *  multi-node NUMA host with spawned workers, a worker start hook
-     *  pins each worker round-robin to one node's cpus, so batch
-     *  state first-touched by a worker stays local to the socket
-     *  streaming events through it; single-node (or unknown) hosts
-     *  run exactly as before. */
+     *  hardware thread, 1 = sequential in the calling thread. */
     explicit ParallelSweep(unsigned threads = 0,
                            SweepKernel kernel = SweepKernel::Batched);
 
@@ -112,9 +107,6 @@ class ParallelSweep
 
     ThreadPool pool_;
     SweepKernel kernel_;
-    /** Workers pinned round-robin across these nodes (empty on
-     *  single-node hosts: no pinning installed). */
-    std::size_t numaNodesUsed_ = 0;
 };
 
 } // namespace ccp::sweep

@@ -13,10 +13,9 @@
  * Every event is a fixed 64-byte PackedEvent record, so the payload
  * size is fully determined by the header and a loader can reject a
  * truncated or oversized file *before* allocating anything, and a
- * memory-mapped loader can serve the records in place as the trace's
- * events.  The name is
- * stored last so the meta block and event array stay 8-byte aligned at
- * fixed offsets.
+ * loader can serve the records in place as the trace's events.  The
+ * name is stored last so the meta block and event array stay 8-byte
+ * aligned at fixed offsets.
  */
 
 #ifndef CCP_TRACE_FORMAT_HH
@@ -26,6 +25,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
+#include <span>
+#include <string_view>
 #include <type_traits>
 
 #include "common/types.hh"
@@ -174,9 +176,8 @@ static_assert(sizeof(PackedEvent) == 64, "event record must stay 64 B");
 static_assert(alignof(PackedEvent) == 8);
 static_assert(std::is_trivially_copyable_v<PackedEvent>);
 
-// A mapped trace's events are its file's records (SharingTrace::
-// loadFileMapped), so the in-memory event must have the record's
-// layout, field for field.
+// A loaded trace's events are its image's records (decodeTrace), so
+// the in-memory event must have the record's layout, field for field.
 static_assert(sizeof(CoherenceEvent) == sizeof(PackedEvent));
 static_assert(std::is_trivially_copyable_v<CoherenceEvent>);
 static_assert(std::is_standard_layout_v<CoherenceEvent>);
@@ -201,9 +202,9 @@ static_assert(sizeof(SharingBitmap) == sizeof(std::uint64_t));
 static_assert(sizeof(bool) == 1);
 
 /**
- * The per-event byte rule both loaders apply to @p n consecutive
+ * The per-event byte rule decodeTrace() applies to @p n consecutive
  * 64-byte records at @p records: every hasPrevWriter byte is 0 or 1
- * and the three pad bytes after it are zero.  A mapped trace reads
+ * and the three pad bytes after it are zero.  A loaded trace reads
  * that byte as a bool, where any other value is undefined behaviour,
  * so a record that breaks the rule is rejected like a checksum
  * mismatch.  Little-endian: the byte and its pad read as one u32 that
@@ -284,9 +285,9 @@ inline constexpr std::uint64_t traceMetaBytes =
     traceMetaWords * sizeof(std::uint64_t);
 inline constexpr std::uint64_t traceEventBytes = sizeof(PackedEvent);
 
-/** File offset of the first event record: the mapped loader points
- *  its events there, so it must suit the event's alignment (the
- *  mapping itself is page-aligned). */
+/** File offset of the first event record: decodeTrace() points the
+ *  events there, so it must suit the event's alignment (the image
+ *  itself is 8-byte aligned). */
 inline constexpr std::uint64_t traceEventOffset =
     sizeof(TraceHeader) + traceMetaBytes;
 static_assert(traceEventOffset == 168);
@@ -344,6 +345,41 @@ checksumSeed(const TraceHeader &h)
     sum.update(&zeroed, sizeof(zeroed));
     return sum;
 }
+
+/** Why decodeTrace() refused an image, in the order it checks. */
+enum class TraceReject : std::uint8_t
+{
+    Header,   ///< validateHeader() failed
+    Size,     ///< not exactly 64 + payloadBytes bytes (or no header)
+    Checksum, ///< the whole-image checksum does not match
+    Record,   ///< an event record breaks the per-event byte rule
+};
+
+/** A short phrase for @p r, for diagnostics. */
+const char *traceRejectText(TraceReject r);
+
+/**
+ * The result of decodeTrace(): a reject, or views into the decoded
+ * image (valid for as long as the image's bytes are).
+ */
+struct DecodedTrace
+{
+    /** Set when the image was refused; nothing else is then valid. */
+    std::optional<TraceReject> reject;
+    TraceHeader header;
+    TraceMeta meta;
+    std::string_view name;
+    std::span<const CoherenceEvent> events;
+};
+
+/**
+ * The one v4 decoder: every loader and `trace_tool verify` validate
+ * through it.  Checks the header, the exact image size, and, in one
+ * chunked pass, the whole-image checksum and the per-event byte rule.
+ * The events are the image's records in place (the record is the
+ * event's layout), so @p image must be 8-byte aligned.
+ */
+DecodedTrace decodeTrace(std::span<const std::byte> image);
 
 } // namespace ccp::trace
 

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <utility>
 
 #include "common/logging.hh"
@@ -29,7 +30,8 @@ namespace ccp::trace {
 
 namespace {
 
-/** Events per I/O chunk on the stream paths (64 KiB buffers). */
+/** Events per chunk when saving, decoding, and first reading an
+ *  unseekable stream (64 KiB). */
 constexpr std::size_t eventChunk = 1024;
 
 bool
@@ -77,7 +79,7 @@ SharingTrace::SharingTrace(const SharingTrace &other)
     : name_(other.name_), nNodes_(other.nNodes_), meta_(other.meta_),
       keeper_(other.keeper_), events_(other.events_)
 {
-    // A mapping is read-only, so copies share it; an owned vector is
+    // An image is read-only, so copies share it; an owned vector is
     // writable, so each copy gets its own.
     if (other.owned_)
         ownEvents();
@@ -201,6 +203,92 @@ SharingTrace::save(std::ostream &os) const
     return writeBytes(os, name_.data(), name_.size());
 }
 
+const char *
+traceRejectText(TraceReject r)
+{
+    static constexpr const char *text[] = {
+        "bad header (magic, version, bounds or payload size)",
+        "size does not match the header",
+        "checksum mismatch",
+        "an event record's hasPrevWriter byte is not 0/1 or its pad "
+        "bytes are not zero",
+    };
+    return text[static_cast<std::size_t>(r)];
+}
+
+DecodedTrace
+decodeTrace(std::span<const std::byte> image)
+{
+    ccp_assert(reinterpret_cast<std::uintptr_t>(image.data()) % 8 == 0,
+               "a trace image must be 8-byte aligned");
+    DecodedTrace d;
+    const auto refuse = [&d](TraceReject r) {
+        d.reject = r;
+        return d;
+    };
+    TraceHeader &h = d.header;
+    if (image.size() < sizeof(h))
+        return refuse(TraceReject::Size);
+    std::memcpy(&h, image.data(), sizeof(h));
+    if (!validateHeader(h))
+        return refuse(TraceReject::Header);
+    // Exactly header + payload: a truncated *or* padded image is
+    // corrupt, not loadable.
+    if (image.size() != sizeof(h) + h.payloadBytes)
+        return refuse(TraceReject::Size);
+
+    // One pass in chunks: checksum each chunk and apply the byte rule
+    // to its records while they are cache-hot.
+    const auto *bytes = reinterpret_cast<const unsigned char *>(image.data());
+    Fnv1a sum = checksumSeed(h);
+    sum.update(bytes + sizeof(h), traceMetaBytes);
+    const unsigned char *records = bytes + traceEventOffset;
+    bool flags_ok = true;
+    for (std::uint64_t i = 0; i < h.eventCount;) {
+        const std::uint64_t n =
+            std::min<std::uint64_t>(h.eventCount - i, eventChunk);
+        const unsigned char *chunk = records + i * sizeof(PackedEvent);
+        sum.update(chunk, n * sizeof(PackedEvent));
+        flags_ok = validEventFlags(chunk, n) && flags_ok;
+        i += n;
+    }
+    const unsigned char *name = records + h.eventCount * sizeof(PackedEvent);
+    sum.update(name, h.nameBytes);
+    if (sum.digest() != h.checksum)
+        return refuse(TraceReject::Checksum);
+    if (!flags_ok)
+        return refuse(TraceReject::Record);
+
+    PackedMeta meta_words;
+    std::memcpy(meta_words.data(), bytes + sizeof(h), sizeof(meta_words));
+    // The records are the events (format.hh asserts the layouts
+    // agree).  CoherenceEvent is an implicit-lifetime aggregate, so,
+    // as in storage from malloc, its objects begin life in the image.
+    d.meta = unpackMeta(meta_words);
+    d.name = {reinterpret_cast<const char *>(name), h.nameBytes};
+    d.events = {reinterpret_cast<const CoherenceEvent *>(records),
+                static_cast<std::size_t>(h.eventCount)};
+    return d;
+}
+
+bool
+SharingTrace::adoptImage(std::shared_ptr<const void> keeper,
+                         std::span<const std::byte> image,
+                         const char *source)
+{
+    const DecodedTrace d = decodeTrace(image);
+    if (d.reject) {
+        ccp_warn("trace load: ", traceRejectText(*d.reject), " in ", source);
+        return false;
+    }
+    // Full success: only now touch the destination trace.
+    name_.assign(d.name);
+    nNodes_ = d.header.nNodes;
+    meta_ = d.meta;
+    adopt(std::move(keeper), d.events, nullptr);
+    return true;
+}
+
 bool
 SharingTrace::load(std::istream &is)
 {
@@ -208,73 +296,44 @@ SharingTrace::load(std::istream &is)
     if (!readBytes(is, &h, sizeof(h)))
         return false;
     if (!validateHeader(h)) {
-        if (h.magic == traceMagic &&
-            h.version != traceFormatVersion)
-            ccp_debug("trace load: rejecting format v", h.version,
-                      " (want v", traceFormatVersion, ")");
-        else if (h.magic == traceMagic &&
-                 (h.nNodes == 0 || h.nNodes > maxNodes))
-            ccp_warn("trace load: bad node count ", h.nNodes,
-                     " (want 1..", maxNodes, ")");
+        ccp_warn("trace load: ", traceRejectText(TraceReject::Header),
+                 " in stream");
         return false;
     }
 
-    // Bound the event count by the bytes actually present before any
-    // allocation: a corrupt count field must not drive a huge
-    // reserve().  Unseekable streams fall back to chunked growth.
+    // Bound the payload by the bytes actually present before any
+    // allocation: a corrupt header must not drive a huge one.  An
+    // unseekable stream grows its buffer by doubling instead, so it
+    // never holds more than twice the bytes it has read.
     const auto remaining = remainingBytes(is);
     if (remaining && *remaining < h.payloadBytes)
         return false;
 
-    Fnv1a sum = checksumSeed(h);
-
-    PackedMeta meta_words;
-    if (!readBytes(is, meta_words.data(), sizeof(meta_words)))
-        return false;
-    sum.update(meta_words.data(), sizeof(meta_words));
-
-    std::vector<CoherenceEvent> events;
-    events.reserve(remaining
-                       ? h.eventCount
-                       : std::min<std::uint64_t>(h.eventCount,
-                                                 eventChunk));
-    // The records are the events' layout (format.hh), so each chunk
-    // is read straight into the vector, then checked.
-    for (std::uint64_t left = h.eventCount; left > 0;) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(left, eventChunk));
-        const std::size_t at = events.size();
-        events.resize(at + n);
-        auto *bytes = reinterpret_cast<unsigned char *>(events.data() + at);
-        if (!readBytes(is, bytes, n * sizeof(PackedEvent)))
+    // The whole image in one 8-byte-aligned buffer, which the trace
+    // keeps as its events' storage once decodeTrace() accepts it.
+    const std::uint64_t size = sizeof(h) + h.payloadBytes;
+    std::uint64_t have =
+        remaining ? size : std::min(size, eventChunk * traceEventBytes);
+    const auto buffer = [](std::uint64_t n) {
+        return std::make_shared_for_overwrite<std::uint64_t[]>((n + 7) / 8);
+    };
+    auto image = buffer(have);
+    std::memcpy(image.get(), &h, sizeof(h));
+    for (std::uint64_t got = sizeof(h);;) {
+        auto *base = reinterpret_cast<char *>(image.get());
+        if (!readBytes(is, base + got, have - got))
             return false;
-        sum.update(bytes, n * sizeof(PackedEvent));
-        if (!validEventFlags(bytes, n)) {
-            ccp_warn("trace load: event record with a bad flag byte");
-            return false;
-        }
-        left -= n;
+        if (have == size)
+            break;
+        got = have;
+        have = std::min(size, 2 * have);
+        auto grown = buffer(have);
+        std::memcpy(grown.get(), image.get(), got);
+        image = std::move(grown);
     }
-
-    std::string name(h.nameBytes, '\0');
-    if (h.nameBytes > 0 && !readBytes(is, name.data(), h.nameBytes))
-        return false;
-    sum.update(name.data(), name.size());
-
-    if (sum.digest() != h.checksum) {
-        ccp_warn("trace load: checksum mismatch for '", name, "'");
-        return false;
-    }
-
-    // Full success: only now touch the destination trace.
-    name_ = std::move(name);
-    nNodes_ = h.nNodes;
-    meta_ = unpackMeta(meta_words);
-    auto owned = std::make_shared<std::vector<CoherenceEvent>>(
-        std::move(events));
-    std::vector<CoherenceEvent> *v = owned.get();
-    adopt(std::move(owned), *v, v);
-    return true;
+    const std::span<const std::byte> bytes(
+        reinterpret_cast<const std::byte *>(image.get()), size);
+    return adoptImage(std::move(image), bytes, "stream");
 }
 
 bool
@@ -397,7 +456,8 @@ SharingTrace::loadMappedImpl(const std::string &path)
     if (::fstat(fd.fd, &st) != 0 || !S_ISREG(st.st_mode))
         return MapLoad::Unavailable;
     const std::uint64_t size = static_cast<std::uint64_t>(st.st_size);
-    if (size < sizeof(TraceHeader))
+    // An empty file cannot be mapped, and is no trace either.
+    if (size == 0)
         return MapLoad::Invalid;
     int flags = MAP_PRIVATE;
 #ifdef MAP_POPULATE
@@ -414,64 +474,12 @@ SharingTrace::loadMappedImpl(const std::string &path)
     // (ScopedFd closes it at scope exit on every path below too).
     if (map == MAP_FAILED)
         return MapLoad::Unavailable;
-    auto m = std::make_unique<const FileMapping>(
+    auto m = std::make_shared<const FileMapping>(
         static_cast<const unsigned char *>(map), size);
-
-    TraceHeader h;
-    std::memcpy(&h, m->data, sizeof(h));
-    if (!validateHeader(h))
-        return MapLoad::Invalid;
-    // The file must be exactly header + payload: a truncated *or*
-    // padded file is corrupt, not loadable.
-    if (size != sizeof(TraceHeader) + h.payloadBytes)
-        return MapLoad::Invalid;
-
-    // One pass in chunks: checksum each chunk and apply the byte rule
-    // to its records while they are cache-hot.
-    const unsigned char *payload = m->data + sizeof(TraceHeader);
-    Fnv1a sum = checksumSeed(h);
-
-    PackedMeta meta_words;
-    std::memcpy(meta_words.data(), payload, sizeof(meta_words));
-    sum.update(payload, traceMetaBytes);
-    const unsigned char *records = m->data + traceEventOffset;
-
-    bool flags_ok = true;
-    for (std::uint64_t i = 0; i < h.eventCount;) {
-        const std::uint64_t n =
-            std::min<std::uint64_t>(h.eventCount - i, eventChunk);
-        const unsigned char *chunk = records + i * sizeof(PackedEvent);
-        sum.update(chunk, n * sizeof(PackedEvent));
-        flags_ok = validEventFlags(chunk, n) && flags_ok;
-        i += n;
-    }
-
-    const unsigned char *name_bytes =
-        records + h.eventCount * sizeof(PackedEvent);
-    sum.update(name_bytes, h.nameBytes);
-    if (sum.digest() != h.checksum) {
-        ccp_warn("trace mmap load: checksum mismatch in ", path);
-        return MapLoad::Invalid;
-    }
-    if (!flags_ok) {
-        ccp_warn("trace mmap load: event record with a bad flag byte in ",
-                 path);
-        return MapLoad::Invalid;
-    }
-
-    // Every check passed: the records are the events (format.hh
-    // asserts the layouts agree), served in place from the mapping.
-    // CoherenceEvent is an implicit-lifetime aggregate, so, as in
-    // storage from malloc, its objects begin life in the mapping.
-    name_.assign(reinterpret_cast<const char *>(name_bytes),
-                 h.nameBytes);
-    nNodes_ = h.nNodes;
-    meta_ = unpackMeta(meta_words);
-    const std::span<const CoherenceEvent> events(
-        reinterpret_cast<const CoherenceEvent *>(records),
-        static_cast<std::size_t>(h.eventCount));
-    adopt(std::shared_ptr<const void>(std::move(m)), events, nullptr);
-    return MapLoad::Ok;
+    const std::span<const std::byte> image(
+        static_cast<const std::byte *>(map), size);
+    return adoptImage(std::move(m), image, path.c_str()) ? MapLoad::Ok
+                                                        : MapLoad::Invalid;
 }
 
 #else // !CCP_TRACE_HAVE_MMAP

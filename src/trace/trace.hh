@@ -8,6 +8,7 @@
 #ifndef CCP_TRACE_TRACE_HH
 #define CCP_TRACE_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -59,14 +60,15 @@ struct TraceMeta
  * every event's outcome bitmap is complete, including readers observed
  * up to the end of the run (the paper's "final state of the memory").
  *
- * The events live in one of two places.  A trace loaded through
- * loadFileMapped() keeps the verified read-only file mapping and serves
- * its records in place (the v4 record is the in-memory event's layout),
- * so no event is copied onto the heap; copies share the mapping.  A
- * generated or stream-loaded trace owns a heap vector, which copies
- * duplicate.  Every write goes through append() or mutableEvents(),
- * which first move a mapped trace's events onto the heap, so nothing
- * ever writes to a mapping.
+ * The events live in one of two places.  A loaded trace keeps the
+ * verified read-only image it was decoded from (decodeTrace in
+ * trace/format.hh): the file mapping for loadFileMapped(), one heap
+ * buffer for load().  It serves the image's records in place (the v4
+ * record is the in-memory event's layout), so no event is copied, and
+ * copies share the image.  A generated trace owns a heap vector, which
+ * copies duplicate.  Every write goes through append() or
+ * mutableEvents(), which first move a loaded trace's events into an
+ * owned vector, so nothing ever writes to an image.
  */
 class SharingTrace
 {
@@ -87,8 +89,8 @@ class SharingTrace
     std::span<const CoherenceEvent> events() const { return events_; }
 
     /**
-     * The one writable view of the events.  A mapped trace first copies
-     * its events onto the heap (once), so the file mapping stays
+     * The one writable view of the events.  A loaded trace first copies
+     * its events into an owned vector (once), so its image stays
      * read-only.  Valid until the next append().
      */
     std::span<CoherenceEvent>
@@ -133,11 +135,12 @@ class SharingTrace
     bool save(std::ostream &os) const;
 
     /**
-     * Deserialize a v4 trace.  The header is fully validated (magic,
-     * version, nNodes ∈ [1, maxNodes], event count bounded by the
-     * actual remaining stream bytes) *before* any allocation, and the
-     * payload checksum must match.  On any failure the destination
-     * trace is left completely unchanged.  @return false on error.
+     * Deserialize a v4 trace.  The header is validated and its payload
+     * size bounded by the remaining stream bytes (when the stream is
+     * seekable) *before* any allocation; then the image is read into
+     * one buffer, validated by decodeTrace() and kept as the events'
+     * storage.  On any failure the destination trace is left
+     * completely unchanged.  @return false on error.
      */
     bool load(std::istream &is);
 
@@ -159,9 +162,8 @@ class SharingTrace
 
     /**
      * Memory-mapped read path: maps the file read-only, validates the
-     * header against the true file size, checksums the whole file and
-     * applies the per-event byte rule, then keeps the mapping and
-     * serves the event records in place — no event is copied.  The
+     * mapping with decodeTrace(), then keeps it and serves the event
+     * records in place — no event is copied.  The
      * file must not be edited or truncated while the trace (or a copy)
      * lives; saveFile() replaces files by rename(), which is safe.
      * @return false if mapping is unavailable on this platform or the
@@ -182,6 +184,11 @@ class SharingTrace
 
     /** Give this trace its own heap copy of its events (mutators). */
     void ownEvents();
+    /** Decode @p image and, if it is valid, adopt it as this trace:
+     *  @p keeper keeps its bytes alive.  Rejects are logged against
+     *  @p source. */
+    bool adoptImage(std::shared_ptr<const void> keeper,
+                    std::span<const std::byte> image, const char *source);
     /** Adopt @p keeper, which keeps @p events alive, as the storage. */
     void adopt(std::shared_ptr<const void> keeper,
                std::span<const CoherenceEvent> events,
@@ -190,7 +197,7 @@ class SharingTrace
     std::string name_;
     unsigned nNodes_ = 0;
     TraceMeta meta_;
-    /** Keeps the events alive: the file mapping or an owned vector. */
+    /** Keeps the events alive: the decoded image or an owned vector. */
     std::shared_ptr<const void> keeper_;
     /** The vector keeper_ holds when this trace owns its events. */
     std::vector<CoherenceEvent> *owned_ = nullptr;

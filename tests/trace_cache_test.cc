@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -223,14 +224,17 @@ TEST(TraceCache, SuiteColdWarmCorruptCycle)
             victim = e.path();
     ASSERT_FALSE(victim.empty());
     {
-        std::fstream f(victim,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        f.seekg(100);
-        char b = 0;
-        f.read(&b, 1);
-        f.seekp(100);
-        b = static_cast<char>(b ^ 0x10);
-        f.write(&b, 1);
+        // Replaced by rename(), as saveFile() does: `warm` still maps
+        // the old file, and a mapped file is never edited in place.
+        std::ifstream in(victim, std::ios::binary);
+        std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+        ASSERT_GT(bytes.size(), 100u);
+        bytes[100] = static_cast<char>(bytes[100] ^ 0x10);
+        const fs::path corrupt = victim.string() + ".corrupt";
+        std::ofstream(corrupt, std::ios::binary)
+            .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        fs::rename(corrupt, victim);
     }
 
     reg.clear();

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for SharingTrace: statistics and binary round-tripping.
+ * Tests for SharingTrace: statistics and binary round-tripping, and
+ * for decodeTrace(), the one v4 decoder every loader validates with.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +11,12 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
+#include <random>
 #include <sstream>
+#include <streambuf>
 #include <utility>
+#include <vector>
 
 #include "trace/format.hh"
 #include "trace/trace.hh"
@@ -21,6 +26,7 @@ namespace {
 using namespace ccp;
 using trace::CoherenceEvent;
 using trace::SharingTrace;
+using trace::TraceReject;
 
 CoherenceEvent
 makeEvent(NodeId pid, Pc pc, Addr block, std::uint64_t readers_raw)
@@ -128,6 +134,46 @@ TEST(SharingTrace, LoadRejectsTruncation)
     std::stringstream cut(whole.substr(0, whole.size() / 2));
     SharingTrace back;
     EXPECT_FALSE(back.load(cut));
+}
+
+/** An input buffer with no seek support, like a pipe: tellg() on a
+ *  stream over it fails. */
+struct UnseekableBuf : std::streambuf
+{
+    explicit UnseekableBuf(std::string s) : bytes(std::move(s))
+    {
+        setg(bytes.data(), bytes.data(), bytes.data() + bytes.size());
+    }
+    std::string bytes;
+};
+
+TEST(SharingTrace, UnseekableStreamGrowsItsBufferAndRejectsTruncation)
+{
+    // 2000 records (128 KB) outgrow the first 64 KiB buffer twice.
+    SharingTrace tr("pipe", 16);
+    for (int i = 0; i < 2000; ++i)
+        tr.append(makeEvent(i % 16, 0x400 + 4 * (i % 7), i, i * 3));
+    std::stringstream ss;
+    ASSERT_TRUE(tr.save(ss));
+    const std::string whole = ss.str();
+
+    UnseekableBuf buf(whole);
+    std::istream is(&buf);
+    ASSERT_EQ(is.tellg(), std::istream::pos_type(-1));
+    is.clear();
+    SharingTrace back;
+    ASSERT_TRUE(back.load(is));
+    EXPECT_EQ(back.name(), "pipe");
+    ASSERT_EQ(back.events().size(), 2000u);
+    EXPECT_EQ(back.events()[1999].block, 1999u);
+
+    for (std::size_t cut : {std::size_t(100), whole.size() / 2,
+                            whole.size() - 1}) {
+        UnseekableBuf short_buf(whole.substr(0, cut));
+        std::istream short_is(&short_buf);
+        SharingTrace dst;
+        EXPECT_FALSE(dst.load(short_is)) << "cut at " << cut;
+    }
 }
 
 TEST(SharingTrace, FileRoundTrip)
@@ -433,6 +479,27 @@ rechecksummed(std::string bytes)
     return bytes;
 }
 
+/** @p bytes in an 8-byte-aligned buffer, as decodeTrace() requires. */
+std::vector<std::uint64_t>
+alignedCopy(const std::string &bytes)
+{
+    std::vector<std::uint64_t> words((bytes.size() + 7) / 8);
+    if (!bytes.empty())
+        std::memcpy(words.data(), bytes.data(), bytes.size());
+    return words;
+}
+
+/** decodeTrace()'s verdict on @p bytes: the reject, or nullopt. */
+std::optional<TraceReject>
+rejectOf(const std::string &bytes)
+{
+    const std::vector<std::uint64_t> words = alignedCopy(bytes);
+    return trace::decodeTrace({reinterpret_cast<const std::byte *>(
+                                   words.data()),
+                               bytes.size()})
+        .reject;
+}
+
 void
 writeFile(const std::string &path, const std::string &bytes)
 {
@@ -461,6 +528,8 @@ TEST(TraceFormatV4, BothLoadersRejectABadFlagOrPadByte)
                 at == flag ? 2 : 1;
             bad = rechecksummed(bad);
 
+            EXPECT_EQ(rejectOf(bad), TraceReject::Record)
+                << "event " << event << " byte " << at;
             SharingTrace via_stream = sentinelTrace();
             EXPECT_FALSE(loadBytes(via_stream, bad))
                 << "event " << event << " byte " << at;
@@ -482,6 +551,150 @@ TEST(TraceFormatV4, BothLoadersRejectABadFlagOrPadByte)
     EXPECT_TRUE(ok.loadFileMapped(path));
     EXPECT_TRUE(loadBytes(ok, whole));
     std::remove(path.c_str());
+
+    // The decoder names the reject each loader refused on.
+    std::string bad_magic = whole;
+    bad_magic[0] = 'X';
+    EXPECT_EQ(rejectOf(bad_magic), TraceReject::Header);
+    EXPECT_EQ(rejectOf(whole + '\0'), TraceReject::Size);
+    EXPECT_EQ(rejectOf(whole.substr(0, whole.size() - 1)),
+              TraceReject::Size);
+    EXPECT_EQ(rejectOf(whole.substr(0, 10)), TraceReject::Size);
+    std::string flipped = whole;
+    flipped[100] = static_cast<char>(flipped[100] ^ 0x01);
+    EXPECT_EQ(rejectOf(flipped), TraceReject::Checksum);
+    EXPECT_EQ(rejectOf(whole), std::nullopt);
+}
+
+// ---------------------------------------------------------------------
+// Seeded mutation of whole images: every mutant is either a structured
+// reject, or decodes to a trace whose save() is the mutant byte for
+// byte (the decoder accepts only the bytes save() writes).
+
+/** Overwrite the @p T at @p offset of @p bytes with @p value. */
+template <typename T>
+void
+poke(std::string &bytes, std::size_t offset, T value)
+{
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+}
+
+/** A trace of @p n events with seeded, varied field values. */
+std::string
+randomImage(std::size_t n, std::mt19937_64 &rng)
+{
+    SharingTrace tr(std::string(n % 13, 'w'), 1 + rng() % 64);
+    tr.meta().totalOps = rng();
+    tr.meta().interventions = rng();
+    for (std::size_t i = 0; i < n; ++i) {
+        CoherenceEvent ev = makeEvent(rng() % 64, rng(), rng(), rng());
+        ev.dir = rng() % 64;
+        ev.invalidated = SharingBitmap(rng());
+        ev.prevWriterPid = rng() % 64;
+        ev.prevWriterPc = rng();
+        ev.hasPrevWriter = rng() % 2;
+        ev.prevEvent = rng();
+        tr.append(ev);
+    }
+    return serialized(tr);
+}
+
+/** Whether @p image decodes, after checking that an accepted image is
+ *  exactly what save() writes for the decoded trace. */
+bool
+decodesAndRoundTrips(const std::string &image)
+{
+    const std::vector<std::uint64_t> words = alignedCopy(image);
+    const trace::DecodedTrace d = trace::decodeTrace(
+        {reinterpret_cast<const std::byte *>(words.data()), image.size()});
+    if (d.reject)
+        return false;
+    SharingTrace tr(std::string(d.name), d.header.nNodes);
+    tr.meta() = d.meta;
+    for (const CoherenceEvent &ev : d.events)
+        tr.append(ev);
+    EXPECT_EQ(serialized(tr), image);
+    return true;
+}
+
+TEST(TraceDecode, SeededMutantsRejectOrRoundTripByteForByte)
+{
+    std::mt19937_64 rng(0x5eed);
+    std::vector<std::string> images;
+    for (std::size_t n : {0, 1, 500})
+        images.push_back(randomImage(n, rng));
+
+    std::size_t decoded = 0, rejected = 0;
+    const auto check = [&](const std::string &mutant) {
+        decodesAndRoundTrips(mutant) ? ++decoded : ++rejected;
+    };
+    for (const std::string &image : images) {
+        ASSERT_TRUE(decodesAndRoundTrips(image));
+        const auto pick = [&](std::size_t n) { return rng() % n; };
+        for (int round = 0; round < 200; ++round) {
+            // 1-3 flipped bits; half the time the checksum is
+            // recomputed so the header and byte rules are reached.
+            std::string flipped = image;
+            const int flips = 1 + pick(3);
+            for (int f = 0; f < flips; ++f)
+                flipped[pick(flipped.size())] ^= char(1 << pick(8));
+            if (round % 2) {
+                flipped = rechecksummed(flipped);
+            } else if (flips == 1) {
+                EXPECT_TRUE(rejectOf(flipped).has_value());
+            }
+            check(flipped);
+
+            // Truncations and one-byte extensions are Size rejects.
+            const std::string cut = image.substr(0, pick(image.size()));
+            EXPECT_EQ(rejectOf(cut), TraceReject::Size);
+            EXPECT_EQ(rejectOf(image + char(rng())), TraceReject::Size);
+
+            // A splice: a prefix of one image, a suffix of another.
+            const std::string &other = images[pick(images.size())];
+            check(image.substr(0, pick(image.size())) +
+                  other.substr(pick(other.size())));
+        }
+
+        // Lies in the header's count and size fields, re-checksummed
+        // so that the structural checks, not the checksum, decide.
+        trace::TraceHeader h;
+        std::memcpy(&h, image.data(), sizeof(h));
+        for (std::uint64_t lie :
+             {std::uint64_t(0), std::uint64_t(1), std::uint64_t(2),
+              std::uint64_t(63), std::uint64_t(64), std::uint64_t(65),
+              std::uint64_t(4097), h.eventCount + 1, h.eventCount - 1,
+              std::uint64_t(1) << 40, ~std::uint64_t(0), rng()}) {
+            std::string bad = image;
+            poke(bad, offsetof(trace::TraceHeader, eventCount), lie);
+            check(rechecksummed(bad));
+            // The same lie with a payloadBytes that agrees with it.
+            poke(bad, offsetof(trace::TraceHeader, payloadBytes),
+                 trace::expectedPayloadBytes(lie, h.nameBytes));
+            check(rechecksummed(bad));
+
+            bad = image;
+            poke(bad, offsetof(trace::TraceHeader, payloadBytes), lie);
+            check(rechecksummed(bad));
+            poke(bad, offsetof(trace::TraceHeader, payloadBytes),
+                 h.payloadBytes + lie);
+            check(rechecksummed(bad));
+
+            bad = image;
+            poke(bad, offsetof(trace::TraceHeader, nameBytes),
+                 static_cast<std::uint32_t>(lie));
+            check(rechecksummed(bad));
+
+            // nNodes in [1, 64] is a different, valid trace.
+            bad = image;
+            poke(bad, offsetof(trace::TraceHeader, nNodes),
+                 static_cast<std::uint32_t>(lie));
+            check(rechecksummed(bad));
+        }
+    }
+    // Both outcomes were reached, so neither branch is vacuous.
+    EXPECT_GT(decoded, 100u);
+    EXPECT_GT(rejected, 1000u);
 }
 
 // ---------------------------------------------------------------------
